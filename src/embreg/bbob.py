@@ -103,10 +103,6 @@ def get(function_id: str) -> Callable[[np.ndarray], float]:
         raise UnknownFunctionError(f"unknown function {function_id!r} (known: {known})") from None
 
 
-def function_ids() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 @dataclass(frozen=True)
 class BbobFunction:
     """A registered objective bound to a fixed input dimension."""

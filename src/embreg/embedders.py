@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,11 @@ class VocabTable:
         entries = rng.standard_normal((v, width)) / math.sqrt(width)
         return cls(v=v, width=width, seed=seed, entries=entries)
 
+    @cached_property
+    def provenance(self) -> str:
+        """Provenance of vocab_pool embeddings read from this table."""
+        return "vocab_pool:" + config_hash({"v": self.v, "width": self.width, "seed": self.seed})
+
 
 def embed_vocab_pool(texts: list[str], table: VocabTable) -> EmbeddingMatrix:
     """Average each text's token vectors; no positional information survives."""
@@ -114,10 +120,7 @@ def embed_vocab_pool(texts: list[str], table: VocabTable) -> EmbeddingMatrix:
     for i, text in enumerate(texts):
         ids = tokenize(text).ids
         rows[i] = table.entries[list(ids)].mean(axis=0)
-    provenance = "vocab_pool:" + config_hash(
-        {"v": table.v, "width": table.width, "seed": table.seed}
-    )
-    return EmbeddingMatrix(values=rows, provenance=provenance)
+    return EmbeddingMatrix(values=rows, provenance=table.provenance)
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,11 @@ def _layer_norm(h: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _position_encoding(length: int, dim: int) -> np.ndarray:
@@ -200,40 +205,76 @@ class SyntheticTransformer:
                 "table_seed": table.seed,
             }
         )
+        self._position_table = np.empty((0, dm))
+        self._memo: dict[str, np.ndarray] = {}
+
+    def _positions(self, length: int) -> np.ndarray:
+        """Rows ``[:length]`` of one position table, grown on demand.
+
+        A row depends only on its position, so slicing a longer table gives
+        the same bits as building one of exactly ``length`` rows.
+        """
+        table = self._position_table
+        if len(table) < length:
+            table = _position_encoding(max(length, 2 * len(table)), self.cfg.model_dim)
+            self._position_table = table
+        return table[:length]
 
     def _attention(self, h: np.ndarray, weights: dict, collect: list | None) -> np.ndarray:
         length, dm = h.shape
         heads = self.cfg.heads
         head_dim = dm // heads
-        q = (h @ weights["wq"]).reshape(length, heads, head_dim)
-        k = (h @ weights["wk"]).reshape(length, heads, head_dim)
-        v = (h @ weights["wv"]).reshape(length, heads, head_dim)
+
+        def by_head(w: np.ndarray) -> np.ndarray:  # (length, dm) -> (heads, length, head_dim)
+            return (h @ w).reshape(length, heads, head_dim).transpose(1, 0, 2)
+
+        q, k, v = by_head(weights["wq"]), by_head(weights["wk"]), by_head(weights["wv"])
         # scores[head, i, j] = q_i . k_j / sqrt(head_dim)
-        scores = np.einsum("ihd,jhd->hij", q, k) / math.sqrt(head_dim)
+        scores = q @ k.transpose(0, 2, 1)
+        scores /= math.sqrt(head_dim)
         attn = _softmax(scores)
         if collect is not None:
             collect.append(attn)
-        mixed = np.einsum("hij,jhd->ihd", attn, v).reshape(length, dm)
+        mixed = (attn @ v).transpose(1, 0, 2).reshape(length, dm)
         return mixed @ weights["wo"]
 
-    def encode(self, text: str, collect_attention: list | None = None) -> np.ndarray:
+    def _forward(self, text: str, collect: list | None) -> np.ndarray:
         ids = tokenize(text).ids
-        h = self.table.entries[list(ids)] + _position_encoding(len(ids), self.cfg.model_dim)
+        h = self.table.entries[list(ids)] + self._positions(len(ids))
         for weights in self.layers:
-            h = h + self._attention(_layer_norm(h), weights, collect_attention)
+            h = h + self._attention(_layer_norm(h), weights, collect)
             ff_in = _layer_norm(h)
             h = h + np.maximum(ff_in @ weights["w1"] + weights["b1"], 0.0) @ weights["w2"] + weights["b2"]
         return h.mean(axis=0)
+
+    def encode(self, text: str, collect_attention: list | None = None) -> np.ndarray:
+        """Mean-pooled output for one text, as a read-only vector.
+
+        Outputs are memoized per model, so a repeated text costs a dict
+        lookup. Passing ``collect_attention`` always runs the forward pass, so
+        that its attention maps are appended.
+        """
+        if collect_attention is None:
+            hit = self._memo.get(text)
+            if hit is not None:
+                return hit
+        vec = self._forward(text, collect_attention)
+        vec.flags.writeable = False
+        self._memo[text] = vec
+        return vec
+
+    def embed(self, texts: list[str]) -> EmbeddingMatrix:
+        if not texts:
+            raise ValueError("texts must be non-empty")
+        return EmbeddingMatrix(
+            values=np.stack([self.encode(t) for t in texts]), provenance=self.provenance
+        )
 
 
 def embed_synthetic_transformer(
     texts: list[str], cfg: SyntheticTransformerConfig, table: VocabTable
 ) -> EmbeddingMatrix:
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    model = SyntheticTransformer(cfg, table)
-    rows = np.stack([model.encode(t) for t in texts])
-    return EmbeddingMatrix(values=rows, provenance=model.provenance)
+    return SyntheticTransformer(cfg, table).embed(texts)
 
 
 def embed_traditional(task: RegressionTask, xs: list[dict]) -> EmbeddingMatrix:
@@ -297,17 +338,44 @@ class Embedder:
         return self._fn(xs)
 
 
+#: Config keys that each embedder kind accepts besides ``kind``.
+SPEC_KEYS = {
+    "traditional": (),
+    "vocab_pool": ("width", "seed"),
+    "synthetic_transformer": ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
+    "scrambled": ("dim", "seed"),
+    "scrambled_perm": ("seed",),
+    "remote": ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
+}
+
+
+def check_spec(spec: dict) -> None:
+    """Raise ValueError unless ``spec`` names a known kind and only its keys."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"an embedder spec must be a JSON object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind not in SPEC_KEYS:
+        raise ValueError(f"unknown embedder kind {kind!r} (known: {', '.join(SPEC_KEYS)})")
+    unknown = set(spec) - {"kind", *SPEC_KEYS[kind]}
+    if unknown:
+        allowed = ", ".join(SPEC_KEYS[kind]) or "none"
+        raise ValueError(
+            f"unknown keys for embedder kind {kind!r}: {sorted(unknown)} (allowed: {allowed})"
+        )
+
+
 def build_embedder(
     spec: dict, task: RegressionTask, fmt: StringFormat | None = None
 ) -> Embedder:
     """Construct an embedder from a config dict with a ``kind`` field.
 
-    Kinds: traditional, vocab_pool, synthetic_transformer, scrambled,
-    scrambled_perm, remote. String-based kinds serialize inputs with ``fmt``
-    before embedding.
+    Kinds and their keys are listed in :data:`SPEC_KEYS`; any other key is
+    rejected. String-based kinds serialize inputs with ``fmt`` before
+    embedding.
     """
+    check_spec(spec)
     fmt = fmt or StringFormat()
-    kind = spec.get("kind")
+    kind = spec["kind"]
 
     def texts_of(xs: list[dict]) -> list[str]:
         return [serialize(task, x, fmt) for x in xs]
@@ -318,11 +386,7 @@ def build_embedder(
 
     if kind == "vocab_pool":
         table = VocabTable.create(width=spec.get("width", 64), seed=spec.get("seed", 0))
-        return Embedder(
-            kind,
-            "vocab_pool:" + config_hash({"v": table.v, "width": table.width, "seed": table.seed}),
-            lambda xs: embed_vocab_pool(texts_of(xs), table),
-        )
+        return Embedder(kind, table.provenance, lambda xs: embed_vocab_pool(texts_of(xs), table))
 
     if kind == "synthetic_transformer":
         cfg = SyntheticTransformerConfig(
@@ -334,14 +398,7 @@ def build_embedder(
         )
         table = VocabTable.create(width=cfg.model_dim, seed=spec.get("table_seed", cfg.seed))
         model = SyntheticTransformer(cfg, table)
-        return Embedder(
-            kind,
-            model.provenance,
-            lambda xs: EmbeddingMatrix(
-                values=np.stack([model.encode(t) for t in texts_of(xs)]),
-                provenance=model.provenance,
-            ),
-        )
+        return Embedder(kind, model.provenance, lambda xs: model.embed(texts_of(xs)))
 
     if kind == "scrambled":
         dim = spec.get("dim") or d_trad(task)

@@ -14,15 +14,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bbob, metrics
-from .embedders import build_embedder
+from .embedders import Embedder, build_embedder, check_spec
 from .featurize import StringFormat
 from .mlp import TrainConfig, train_and_evaluate
 from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings
@@ -64,6 +67,8 @@ class ExperimentConfig:
         for key in ("functions", "dofs", "seeds", "sizes", "embedders", "offline"):
             if key in coerced:
                 coerced[key] = tuple(coerced[key])
+        for spec in coerced.get("embedders", ()):
+            check_spec(spec)
         return cls(**coerced)
 
     @classmethod
@@ -156,6 +161,42 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
     return instances
 
 
+class EmbedderPool:
+    """The embedders of one run, shared by all cells that embed alike.
+
+    Cells of one (task instance, embedder slot, string format) share one
+    embedder, so a transformer encodes each distinct text once and a remote
+    client loads its cache file once. Each embedder is built at the first
+    cell that needs it, so that a remote client sees what earlier cells wrote
+    to its cache, and dropped after the last. A build that raises is not
+    kept: every cell that needs it tries again and records its own failure.
+    """
+
+    def __init__(self, keys):
+        self._uses = Counter(keys)
+        self._built: dict[tuple, Embedder] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def key(instance: "TaskInstance", slot: int, fmt: StringFormat) -> tuple:
+        return (instance, slot, fmt)
+
+    @contextmanager
+    def lease(self, key: tuple, build):
+        """Yield the embedder under ``key``, built by ``build()`` if absent."""
+        try:
+            with self._lock:
+                if key not in self._built:
+                    self._built[key] = build()
+                embedder = self._built[key]
+            yield embedder
+        finally:
+            with self._lock:
+                self._uses[key] -= 1
+                if self._uses[key] <= 0:
+                    self._built.pop(key, None)
+
+
 def _cell_key(**parts) -> str:
     return ";".join(f"{k}={parts[k]}" for k in sorted(parts))
 
@@ -168,9 +209,13 @@ def run_cell(
     fmt: StringFormat,
     train_overrides: dict,
     slot: int = 0,
+    pool: EmbedderPool | None = None,
 ) -> dict:
     """Sample (or ingest), split 8-1-1, embed, train, evaluate, and compute the
-    roughness-factor summary over the pooled data."""
+    roughness-factor summary over the pooled data.
+
+    ``pool`` holds the run's embedders; a cell run alone builds its own.
+    """
     started = time.time()
     task = instance.task
     if instance.data_path is None:
@@ -179,10 +224,12 @@ def run_cell(
         ds = ingest_offline(instance.data_path, task)
     train_ds, val_ds, test_ds = split_dataset(ds, SPLIT_RATIOS, seed)
 
-    embedder = build_embedder(embedder_spec, task, fmt)
-    m_train = embedder.embed(train_ds.xs)
-    m_val = embedder.embed(val_ds.xs)
-    m_test = embedder.embed(test_ds.xs)
+    key = EmbedderPool.key(instance, slot, fmt)
+    pool = pool or EmbedderPool([key])
+    with pool.lease(key, lambda: build_embedder(embedder_spec, task, fmt)) as embedder:
+        m_train = embedder.embed(train_ds.xs)
+        m_val = embedder.embed(val_ds.xs)
+        m_test = embedder.embed(test_ds.xs)
 
     cfg = TrainConfig.from_overrides({**train_overrides, "seed": seed})
     _, _, report = train_and_evaluate(
@@ -231,11 +278,12 @@ def _execute_cells(
     todo = [(key, spec) for key, spec in cells if force or not store.completed(key)]
     if echo:
         echo(f"{len(cells)} cells total, {len(todo)} to run")
+    embedders = EmbedderPool(EmbedderPool.key(kw["instance"], kw["slot"], kw["fmt"]) for _, kw in todo)
 
     def run_one(item):
         key, kwargs = item
         try:
-            rec = runner(**kwargs)
+            rec = runner(**kwargs, pool=embedders)
         except Exception as e:  # cell failures must not sink the sweep
             rec = {"status": "error", "error": f"{type(e).__name__}: {e}", "ts": time.strftime("%Y-%m-%dT%H:%M:%S")}
         rec["cell"] = key

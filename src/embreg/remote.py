@@ -31,7 +31,12 @@ class TransportError(RuntimeError):
 
 
 class EmbeddingServiceError(RuntimeError):
-    """The service answered, but with an unusable payload."""
+    """The service answered, but with an unusable payload or an error that a
+    retry cannot fix (a 4xx status other than 408 and 429)."""
+
+
+#: Client-error statuses that may succeed when the same request is retried.
+RETRYABLE_4XX = (408, 429)
 
 
 def cache_key(endpoint: str, model: str, text: str) -> str:
@@ -118,6 +123,10 @@ class RemoteEmbedder:
                     headers=self._headers(),
                     timeout=self.timeout,
                 )
+                if 400 <= resp.status_code < 500 and resp.status_code not in RETRYABLE_4XX:
+                    raise EmbeddingServiceError(
+                        f"embedding service rejected the request: HTTP {resp.status_code} {resp.reason}"
+                    )
                 resp.raise_for_status()
                 payload = resp.json()
                 return self._validate(batch, payload)
@@ -177,7 +186,3 @@ class RemoteEmbedder:
         values = np.stack([resolved[t] for t in texts])
         return EmbeddingMatrix(values=values, provenance=self.provenance)
 
-
-def embed_remote(texts: list[str], endpoint: str, model: str, cache_path=None, **kwargs) -> EmbeddingMatrix:
-    """One-shot convenience wrapper around :class:`RemoteEmbedder`."""
-    return RemoteEmbedder(endpoint, model, cache_path=cache_path, **kwargs).embed_texts(texts)

@@ -22,8 +22,9 @@ class MockEmbeddingService:
 
     def __init__(self, dim: int = 8):
         self.dim = dim
-        self.fail_next = 0  # number of upcoming requests to answer with a 500
+        self.fail_next = 0  # number of upcoming requests to answer with fail_status
         self.always_fail = False
+        self.fail_status = 500
         self.mixed_dims = False
         self.inject_nan = False
         self.requests: list[dict] = []
@@ -41,7 +42,7 @@ class MockEmbeddingService:
                     if service.fail_next > 0:
                         service.fail_next -= 1
                 if should_fail:
-                    self.send_response(500)
+                    self.send_response(service.fail_status)
                     self.end_headers()
                     self.wfile.write(b"boom")
                     return

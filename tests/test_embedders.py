@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,91 @@ def test_transformer_attention_rows_sum_to_one():
         assert np.all(np.abs(sums - 1.0) < 1e-6)
 
 
+def _einsum_attention(model, h, weights):
+    """Reference attention: the per-head einsum form the matmul path replaced."""
+    length, dm = h.shape
+    heads = model.cfg.heads
+    head_dim = dm // heads
+    q = (h @ weights["wq"]).reshape(length, heads, head_dim)
+    k = (h @ weights["wk"]).reshape(length, heads, head_dim)
+    v = (h @ weights["wv"]).reshape(length, heads, head_dim)
+    scores = np.einsum("ihd,jhd->hij", q, k) / math.sqrt(head_dim)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    mixed = np.einsum("hij,jhd->ihd", attn, v).reshape(length, dm)
+    return mixed @ weights["wo"], attn
+
+
+def _reference_encode(model, text):
+    ids = list(embedders.tokenize(text).ids)
+    h = model.table.entries[ids] + embedders._position_encoding(len(ids), model.cfg.model_dim)
+    for w in model.layers:
+        h = h + _einsum_attention(model, embedders._layer_norm(h), w)[0]
+        ff_in = embedders._layer_norm(h)
+        h = h + np.maximum(ff_in @ w["w1"] + w["b1"], 0.0) @ w["w2"] + w["b2"]
+    return h.mean(axis=0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 64, 300])
+def test_attention_matches_einsum_oracle(length):
+    cfg, table = _transformer(seed=3)
+    model = SyntheticTransformer(cfg, table)
+    h = np.random.default_rng(length).standard_normal((length, cfg.model_dim))
+    for weights in model.layers:
+        collected: list = []
+        out = model._attention(h, weights, collected)
+        ref_out, ref_attn = _einsum_attention(model, h, weights)
+        assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
+        assert np.allclose(collected[0], ref_attn, rtol=0, atol=1e-12)
+
+
+def test_encode_matches_einsum_oracle():
+    cfg, table = _transformer()
+    model = SyntheticTransformer(cfg, table)
+    for text in ["a", "x0:0.32,x1:-4.21", "{" + ",".join(f"x{i}:{i / 7:.4f}" for i in range(40)) + "}"]:
+        assert np.allclose(model.encode(text), _reference_encode(model, text), rtol=0, atol=1e-12)
+
+
+def test_position_table_slices_match_exact_builds():
+    cfg, table = _transformer()
+    model = SyntheticTransformer(cfg, table)
+    for length in (5, 3, 40, 11, 200):  # grows the table, then slices it
+        exact = embedders._position_encoding(length, cfg.model_dim)
+        assert np.array_equal(model._positions(length), exact)
+
+
+def test_encode_memo_hit_is_bit_identical_to_fresh_model(monkeypatch):
+    cfg, table = _transformer()
+    model = SyntheticTransformer(cfg, table)
+    texts = ["x0:0.32,x1:4.0", "zz", "x0:0.32,x1:4.0"]
+    first = [model.encode(t) for t in texts]
+    forwards = []
+    original = SyntheticTransformer._forward
+    monkeypatch.setattr(
+        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+    )
+    again = [model.encode(t) for t in texts]
+    assert forwards == []  # every call was a memo hit
+    fresh = SyntheticTransformer(cfg, table)
+    for a, b, t in zip(first, again, texts):
+        assert a is b
+        assert not a.flags.writeable
+        assert np.array_equal(a, fresh.encode(t))
+    assert np.array_equal(embedders.embed_synthetic_transformer(texts, cfg, table).values, np.stack(first))
+
+
+def test_collect_attention_runs_on_a_memoized_text():
+    cfg, table = _transformer()
+    model = SyntheticTransformer(cfg, table)
+    text = "x0:0.32,x1:-4.21"
+    vec = model.encode(text)
+    collected: list = []
+    again = model.encode(text, collect_attention=collected)
+    assert len(collected) == cfg.layers
+    assert collected[0].shape == (cfg.heads, len(text), len(text))
+    assert np.array_equal(vec, again)
+
+
 def test_transformer_dim_mismatch_rejected():
     cfg = SyntheticTransformerConfig(model_dim=32)
     table = VocabTable.create(width=16, seed=0)
@@ -177,6 +264,22 @@ def test_build_embedder_kinds_and_provenance():
     assert len(provs) == len(kinds)
     with pytest.raises(ValueError, match="unknown embedder"):
         embedders.build_embedder({"kind": "nope"}, task)
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"kind": "vocab_pool", "widht": 128}, "widht"),
+        ({"kind": "traditional", "seed": 1}, "seed"),
+        ({"kind": "synthetic_transformer", "model_dims": 32}, "model_dims"),
+        ({"width": 64}, "unknown embedder kind"),
+        ("vocab_pool", "JSON object"),
+    ],
+)
+def test_build_embedder_rejects_bad_specs(spec, match):
+    task = tasks.synthetic_task("sphere", 3)
+    with pytest.raises(ValueError, match=match):
+        embedders.build_embedder(spec, task)
 
 
 def test_build_embedder_config_changes_provenance():

@@ -287,3 +287,110 @@ def test_workers_parallel_matches_sequential_summary(tmp_path):
     assert (seq / "dof_sweep_summary.csv").read_bytes() == (
         par / "dof_sweep_summary.csv"
     ).read_bytes()
+
+
+def test_config_rejects_unknown_embedder_keys():
+    with pytest.raises(ValueError, match="widht"):
+        _cfg(embedders=[{"kind": "vocab_pool", "widht": 128}])
+    with pytest.raises(ValueError, match="unknown embedder kind"):
+        _cfg(embedders=[{"kind": "vocab_pol"}])
+
+
+def test_valid_embedder_specs_keep_their_config_hash():
+    cfg = _cfg(
+        embedders=[
+            {"kind": "traditional"},
+            {"kind": "vocab_pool", "width": 16, "seed": 1},
+            {"kind": "synthetic_transformer", "model_dim": 16, "heads": 2},
+        ],
+        train={},
+    )
+    assert cfg.config_hash() == "d63841c1e84a"
+
+
+def test_scale_data_encodes_each_distinct_text_once(tmp_path, monkeypatch):
+    from embreg import featurize, tasks
+    from embreg.embedders import SyntheticTransformer
+
+    forwards = []
+    original = SyntheticTransformer._forward
+    monkeypatch.setattr(
+        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+    )
+    spec = {"kind": "synthetic_transformer", "layers": 1, "model_dim": 16, "heads": 2, "ff_dim": 32}
+    cfg = _cfg(
+        functions=["sphere", "rastrigin"],
+        embedders=[{"kind": "traditional"}, spec],
+        sizes=[20, 40],
+        seeds=[0, 1],
+    )
+    exp_dir = experiments.run_data_scaling(cfg, tmp_path)
+    assert json.loads((exp_dir / "status.json").read_text())["failed"] == 0
+
+    distinct = set()
+    for function in cfg.functions:
+        task = tasks.synthetic_task(function, 2)
+        for seed in cfg.seeds:
+            for size in cfg.sizes:
+                for x in tasks.sample_uniform(task, size, seed).xs:
+                    # One model per task instance: the texts of two tasks never share a memo.
+                    distinct.add((function, featurize.serialize(task, x, featurize.StringFormat())))
+    assert len(forwards) == len(distinct)
+
+
+def test_remote_compare_loads_cache_once_per_client(tmp_path, monkeypatch, mock_service):
+    from embreg import remote
+
+    loads, clients = [], []
+    cache_init, client_init = remote.EmbeddingCache.__init__, remote.RemoteEmbedder.__init__
+    monkeypatch.setattr(
+        remote.EmbeddingCache, "__init__", lambda self, path: loads.append(path) or cache_init(self, path)
+    )
+    monkeypatch.setattr(
+        remote.RemoteEmbedder,
+        "__init__",
+        lambda self, *a, **kw: clients.append(self) or client_init(self, *a, **kw),
+    )
+    remote_spec = {"kind": "remote", "endpoint": mock_service.endpoint, "model": "m",
+                   "cache": str(tmp_path / "cache.jsonl")}
+    cfg = _cfg(
+        functions=["sphere", "rastrigin"],
+        embedders=[{"kind": "scrambled"}, remote_spec],
+        seeds=[0, 1, 2],
+    )
+    exp_dir = experiments.run_comparison(cfg, tmp_path / "out")
+    assert json.loads((exp_dir / "status.json").read_text())["failed"] == 0
+    # 6 remote cells, one client per task instance, one cache load per client.
+    assert len(clients) == 2
+    assert len(loads) == 2
+    # Sampled texts do not depend on the function, so the client built at the
+    # first rastrigin cell finds every text that the sphere cells cached.
+    assert clients[0].request_count > 0
+    assert clients[1].request_count == 0
+
+
+def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeypatch):
+    import sys
+
+    builds = []
+    original = experiments.build_embedder
+    monkeypatch.setattr(
+        experiments, "build_embedder", lambda spec, task, fmt: builds.append(spec) or original(spec, task, fmt)
+    )
+    spec = {"kind": "synthetic_transformer", "layers": 1, "model_dim": 16, "heads": 2, "ff_dim": 32}
+    cfg = _cfg(
+        functions=["sphere", "rastrigin"],
+        embedders=[{"kind": "vocab_pool", "width": 16}, spec],
+        seeds=[0, 1, 2, 3],
+    )
+    seq = experiments.run_dof_sweep(cfg, tmp_path / "seq", workers=1)
+    assert len(builds) == 4  # (sphere, rastrigin) x 2 slots
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = experiments.run_dof_sweep(cfg, tmp_path / "par", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 8  # a lost use count would drop an embedder early and rebuild it
+    assert json.loads((par / "status.json").read_text())["failed"] == 0
+    assert (seq / "dof_sweep_cells.csv").read_bytes() == (par / "dof_sweep_cells.csv").read_bytes()

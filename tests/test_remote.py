@@ -140,3 +140,28 @@ def test_api_key_header_sent(mock_service, tmp_path, monkeypatch):
     assert client._headers()["Authorization"] == "Bearer secret-token"
     monkeypatch.delenv("EMBED_API_KEY")
     assert "Authorization" not in client._headers()
+
+
+def test_client_error_is_not_retried(mock_service, tmp_path):
+    mock_service.always_fail = True
+    mock_service.fail_status = 401
+    client = RemoteEmbedder(
+        mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
+        max_attempts=3, backoff=0.01,
+    )
+    with pytest.raises(EmbeddingServiceError, match="401"):
+        client.embed_texts(["x"])
+    assert mock_service.request_count == 1
+    assert client.request_count == 1
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_timeout_and_rate_limit_are_retried(mock_service, tmp_path, status):
+    mock_service.fail_next = 2
+    mock_service.fail_status = status
+    client = RemoteEmbedder(
+        mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
+        max_attempts=3, backoff=0.01,
+    )
+    assert client.embed_texts(["x"]).rows == 1
+    assert mock_service.request_count == 3
