@@ -39,6 +39,7 @@ from .tasks import (
 )
 
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
+MIN_SAMPLES = 20  # smallest n whose SPLIT_RATIOS split keeps 2 validation and 2 test points
 GAP_BANDS = (0.5, 1.0, 2.0)
 
 
@@ -69,7 +70,15 @@ class ExperimentConfig:
                 coerced[key] = tuple(coerced[key])
         for spec in coerced.get("embedders", ()):
             check_spec(spec)
-        return cls(**coerced)
+        cfg = cls(**coerced)
+        TrainConfig.from_overrides(cfg.train)
+        too_small = [n for n in (cfg.n_samples, *cfg.sizes) if n < MIN_SAMPLES]
+        if too_small:
+            raise ValueError(
+                f"sample sizes {too_small} are below {MIN_SAMPLES}: the {SPLIT_RATIOS} split "
+                "would leave fewer than 2 validation or test points"
+            )
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -44,46 +44,41 @@ def _as_array(features) -> np.ndarray:
     return np.asarray(features, dtype=np.float64)
 
 
-@dataclass
-class MlpModel:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+class MlpModel(dict):
+    """Weights ``w1`` ... ``b3`` (also attributes) as reshaped views into one
+    flat float64 buffer ``flat``, in ``_PARAM_NAMES`` order; gradients and
+    snapshots share the type. ``workspaces`` holds ``loss_and_grad``'s buffers
+    per row count, so one model must not be trained from two threads at once.
+    """
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
+    def __init__(self, input_dim: int, hidden: int = HIDDEN_WIDTH, flat: np.ndarray | None = None):
+        shapes = ((input_dim, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,))
+        bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+        self.flat = np.zeros(bounds[-1]) if flat is None else flat
+        for name, shape, start, end in zip(_PARAM_NAMES, shapes, bounds, bounds[1:]):
+            self[name] = self.flat[start:end].reshape(shape)
+        self.__dict__.update(self)
+        self.input_dim, self.hidden = input_dim, hidden
+        self.workspaces: dict[int, tuple[np.ndarray, ...]] = {}
 
     def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        return dict(self)
 
-    def copy_weights(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name).copy() for name in _PARAM_NAMES}
+    def copy_weights(self) -> "MlpModel":
+        return MlpModel(self.input_dim, self.hidden, self.flat.copy())
 
-    def load_weights(self, weights: dict[str, np.ndarray]) -> None:
-        for name in _PARAM_NAMES:
-            setattr(self, name, weights[name].copy())
+    def load_weights(self, weights: "MlpModel") -> None:
+        np.copyto(self.flat, weights.flat)
 
 
 def init_model(input_dim: int, seed: int, hidden: int = HIDDEN_WIDTH) -> MlpModel:
     """He-style uniform init, seeded; biases start at zero."""
     rng = np.random.default_rng(seed)
-
-    def he(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    return MlpModel(
-        w1=he(input_dim, hidden),
-        b1=np.zeros(hidden),
-        w2=he(hidden, hidden),
-        b2=np.zeros(hidden),
-        w3=he(hidden, 1),
-        b3=np.zeros(1),
-    )
+    model = MlpModel(input_dim, hidden)
+    for w in (model.w1, model.w2, model.w3):
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def forward(model: MlpModel, features) -> np.ndarray:
@@ -95,76 +90,85 @@ def forward(model: MlpModel, features) -> np.ndarray:
     return (h2 @ model.w3).ravel() + model.b3[0]
 
 
-def loss_and_grad(model: MlpModel, features, targets) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grad(
+    model: MlpModel, features, targets, grads: MlpModel | None = None
+) -> tuple[float, MlpModel]:
     """Mean squared error and its gradient by reverse accumulation.
 
-    ReLU uses subgradient 0 at the kink.
+    ReLU uses subgradient 0 at the kink. The gradient fills ``grads`` when
+    given, and a new buffer otherwise, so no later call overwrites one it returned.
     """
     x = _as_array(features)
     y = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] != y.size:
-        raise ValueError(f"row count mismatch: {x.shape[0]} features vs {y.size} targets")
-    z1 = x @ model.w1 + model.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ model.w2 + model.b2
-    h2 = np.maximum(z2, 0.0)
-    yhat = (h2 @ model.w3).ravel() + model.b3[0]
-
     n = y.size
-    resid = yhat - y
+    if x.shape[0] != n:
+        raise ValueError(f"row count mismatch: {x.shape[0]} features vs {n} targets")
+    grads = MlpModel(model.input_dim, model.hidden) if grads is None else grads
+    if n not in model.workspaces:  # h1, h2 (later d_z1), d_h2, a ReLU mask, the output
+        hidden = np.empty((3, n, model.hidden))
+        model.workspaces[n] = (*hidden, np.empty((n, model.hidden), dtype=bool), np.empty((n, 1)))
+    h1, h2, d_h2, mask, out = model.workspaces[n]
+    np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
+    np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
+    resid = np.matmul(h2, model.w3, out=out).ravel()
+    resid += model.b3[0]
+    resid -= y
     loss = float(resid @ resid) / n
 
-    d_yhat = (2.0 / n) * resid  # (n,)
-    d_h2 = np.outer(d_yhat, model.w3.ravel())
-    d_z2 = d_h2 * (z2 > 0)
-    d_h1 = d_z2 @ model.w2.T
-    d_z1 = d_h1 * (z1 > 0)
-    grads = {
-        "w3": h2.T @ d_yhat[:, None],
-        "b3": np.array([d_yhat.sum()]),
-        "w2": h1.T @ d_z2,
-        "b2": d_z2.sum(axis=0),
-        "w1": x.T @ d_z1,
-        "b1": d_z1.sum(axis=0),
-    }
+    # Each delta keeps the unfused code's operands and float*bool ReLU mask.
+    d_yhat = np.multiply(resid, 2.0 / n, out=resid)
+    np.matmul(h2.T, d_yhat[:, None], out=grads.w3)
+    grads.b3[0] = d_yhat.sum()
+    np.multiply(d_yhat[:, None], model.w3.ravel(), out=d_h2)  # np.outer as a broadcast
+    d_z2 = np.multiply(d_h2, np.greater(h2, 0.0, out=mask), out=d_h2)
+    np.matmul(h1.T, d_z2, out=grads.w2)
+    np.sum(d_z2, axis=0, out=grads.b2)
+    d_z1 = np.matmul(d_z2, model.w2.T, out=h2)
+    np.multiply(d_z1, np.greater(h1, 0.0, out=mask), out=d_z1)
+    np.matmul(x.T, d_z1, out=grads.w1)
+    np.sum(d_z1, axis=0, out=grads.b1)
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW moments as flat buffers the size of the model's, plus scratch."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def init(cls, model: MlpModel) -> "AdamState":
-        zeros = {k: np.zeros_like(p) for k, p in model.params().items()}
-        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()}, step=0)
+        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), step=0)
 
 
-def adamw_step(
-    model: MlpModel,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    weight_decay: float,
-    state: AdamState,
-) -> None:
-    """One AdamW update in place: decoupled decay plus bias-corrected moments."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient")
+def adamw_step(model: MlpModel, grads: dict, lr: float, weight_decay: float, state: AdamState) -> None:
+    """One AdamW update in place: decoupled decay plus bias-corrected moments.
+
+    ``grads`` is an ``MlpModel`` buffer or any dict keyed like ``params()``.
+    """
+    packed = isinstance(grads, MlpModel)
+    g = grads.flat if packed else np.concatenate([np.ravel(grads[k]) for k in _PARAM_NAMES])
+    if not np.isfinite(g).all():
+        raise TrainingDivergedError("non-finite gradient")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for name, param in model.params().items():
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        param -= lr * weight_decay * param
-        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    bc1, bc2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
+    p, m, v, (s, d) = model.flat, state.m, state.v, state.scratch
+    # Each pass keeps the operand order of the per-tensor update, so results
+    # stay bit-identical: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    # p -= (lr*wd)*p, then p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
+    p -= np.multiply(p, lr * weight_decay, out=s)
+    s = np.multiply(np.divide(m, bc1, out=s), lr, out=s)
+    d = np.add(np.sqrt(np.divide(v, bc2, out=d), out=d), ADAM_EPS, out=d)
+    p -= np.divide(s, d, out=s)
 
 
 @dataclass(frozen=True)
@@ -203,16 +207,18 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.learning_rates or not self.weight_decays:
             raise ValueError("hyperparameter grids must be non-empty")
-        if min(self.max_epochs, self.patience, self.batch_size) < 1:
-            raise ValueError("max_epochs, patience and batch_size must be >= 1")
+        counts = (self.max_epochs, self.patience, self.batch_size)
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+            raise ValueError("max_epochs, patience and batch_size must be integers >= 1")
 
     @classmethod
     def from_overrides(cls, overrides: dict | None) -> "TrainConfig":
         overrides = dict(overrides or {})
-        for key in ("learning_rates", "weight_decays"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
-        return cls(**overrides)
+        unknown = set(overrides) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown train fields: {sorted(unknown)}")
+        grids = {k: tuple(overrides[k]) for k in ("learning_rates", "weight_decays") if k in overrides}
+        return cls(**{**overrides, **grids})
 
 
 @dataclass
@@ -232,34 +238,27 @@ def _seed_for_cell(seed: int, lr_idx: int, wd_idx: int) -> int:
 
 
 def _train_one_cell(
-    x: np.ndarray,
-    y_norm: np.ndarray,
-    xv: np.ndarray,
-    yv_norm: np.ndarray,
-    lr: float,
-    wd: float,
-    cfg: TrainConfig,
-    shuffle_seed: int,
-) -> tuple[float, dict[str, np.ndarray] | None, int]:
-    model = init_model(x.shape[1], seed=cfg.seed)
+    model: MlpModel, x, y_norm, xv, yv_norm, lr: float, wd: float, cfg: TrainConfig, shuffle_seed: int
+) -> tuple[float, MlpModel | None, int]:
+    """Train ``model`` in place from its current weights; return the best
+    validation MSE, a copy of the weights that reached it, and its epoch."""
     state = AdamState.init(model)
     rng = np.random.default_rng(shuffle_seed)
     full_batch = x.shape[0] <= FULL_BATCH_MAX
 
-    best_val = np.inf
-    best_weights: dict[str, np.ndarray] | None = None
-    best_epoch = 0
-    stale = 0
+    grads = None  # the first step allocates the buffer every later step reuses
+    best_weights = model.copy_weights()  # holds the weights of best_epoch once it is > 0
+    best_val, best_epoch, stale = np.inf, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
         try:
             if full_batch:
-                _, grads = loss_and_grad(model, x, y_norm)
+                _, grads = loss_and_grad(model, x, y_norm, grads)
                 adamw_step(model, grads, lr, wd, state)
             else:
                 order = rng.permutation(x.shape[0])
                 for start in range(0, x.shape[0], cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    _, grads = loss_and_grad(model, x[idx], y_norm[idx])
+                    _, grads = loss_and_grad(model, x[idx], y_norm[idx], grads)
                     adamw_step(model, grads, lr, wd, state)
         except TrainingDivergedError:
             return np.inf, None, epoch
@@ -269,15 +268,13 @@ def _train_one_cell(
         if not np.isfinite(val_mse):
             return np.inf, None, epoch
         if val_mse < best_val:
-            best_val = val_mse
-            best_weights = model.copy_weights()
-            best_epoch = epoch
-            stale = 0
+            best_val, best_epoch, stale = val_mse, epoch, 0
+            np.copyto(best_weights.flat, model.flat)
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    return best_val, best_weights, best_epoch
+    return best_val, (best_weights if best_epoch else None), best_epoch
 
 
 def train(
@@ -304,10 +301,13 @@ def train(
 
     sweep: list[dict] = []
     best = None  # (val_mse, weights, epochs, lr, wd)
+    model = init_model(x.shape[1], seed=cfg.seed)
+    init = model.copy_weights()
     for i, lr in enumerate(cfg.learning_rates):
         for j, wd in enumerate(cfg.weight_decays):
+            model.load_weights(init)
             val_mse, weights, epochs = _train_one_cell(
-                x, y_norm, xv, yv_norm, lr, wd, cfg, _seed_for_cell(cfg.seed, i, j)
+                model, x, y_norm, xv, yv_norm, lr, wd, cfg, _seed_for_cell(cfg.seed, i, j)
             )
             sweep.append(
                 {"lr": lr, "weight_decay": wd, "val_mse": float(val_mse), "epochs": epochs}
@@ -318,12 +318,10 @@ def train(
     if best is None:
         raise TrainingFailedError("every sweep cell diverged", sweep)
 
-    model = init_model(x.shape[1], seed=cfg.seed)
-    model.load_weights(best[1])
     report = RegressionReport(
         sweep=sweep, chosen_lr=best[3], chosen_wd=best[4], epochs_run=best[2]
     )
-    return model, normalizer, report
+    return best[1], normalizer, report
 
 
 def evaluate(model: MlpModel, normalizer: YNormalizer, features, y) -> MetricBundle:
@@ -363,6 +361,8 @@ def load_model(path) -> tuple[MlpModel, YNormalizer, str]:
         meta = json.loads(str(data["meta"]))
         if meta.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model file version: {meta.get('version')}")
-        model = MlpModel(**{name: data[name] for name in _PARAM_NAMES})
+        model = MlpModel(meta["input_dim"], data["b1"].size)
+        for name, view in model.items():
+            view[...] = data[name]
     normalizer = YNormalizer(mu=meta["mu"], sigma=meta["sigma"])
     return model, normalizer, meta["provenance"]

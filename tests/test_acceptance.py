@@ -321,7 +321,9 @@ def test_c8_remote_embedder_contract(mock_service, tmp_path):
     )
     texts = [f"input-{i}" for i in range(5)]
     out = client.embed_texts(texts)
-    assert mock_service.batch_sizes() == [2, 2, 1]
+    # max_inflight=2 sends two batches at once, so their order of arrival is a race.
+    assert sorted(mock_service.batch_sizes()) == [1, 2, 2]
+    assert mock_service.request_count == 3
 
     from conftest import deterministic_embedding
 
@@ -347,7 +349,7 @@ def test_c8_remote_embedder_contract(mock_service, tmp_path):
         failing.embed_texts(["novel text"])
     assert mock_service.request_count - before == 3
 
-    _pass("C8", "batching [2,2,1], order preserved, cache short-circuit, 3-attempt retry")
+    _pass("C8", "batches of 2, 2 and 1, order preserved, cache short-circuit, 3-attempt retry")
 
 
 # -- C9 ----------------------------------------------------------------------

@@ -44,6 +44,26 @@ def test_config_hash_changes_with_config():
     assert _cfg().config_hash() == _cfg().config_hash()
 
 
+def test_config_rejects_bad_train_overrides_up_front():
+    with pytest.raises(ValueError, match="max_epoch"):
+        _cfg(train={"max_epoch": 15})
+    for bad in (15.5, "15", 0):  # a float or a string used to pass here and fail every cell
+        with pytest.raises(ValueError, match="max_epochs"):
+            _cfg(train={"max_epochs": bad})
+
+
+def test_valid_train_overrides_keep_their_config_hash():
+    assert _cfg().config_hash() == "063dd32c11e9"
+
+
+def test_config_rejects_sizes_too_small_to_split():
+    with pytest.raises(ValueError, match=r"\[10\]"):
+        _cfg(sizes=[10, 20])
+    with pytest.raises(ValueError, match=r"\[19\]"):
+        _cfg(n_samples=19)
+    _cfg(n_samples=20, sizes=[20])
+
+
 def test_dof_sweep_produces_summary(tmp_path):
     cfg = _cfg(functions=["sphere", "rastrigin"], dofs=[2, 3])
     exp_dir = experiments.run_dof_sweep(cfg, tmp_path)

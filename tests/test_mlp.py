@@ -247,3 +247,158 @@ def test_model_save_load_roundtrip(tmp_path):
     assert prov == "traditional:abc"
     assert loaded_norm == norm
     assert np.array_equal(forward(loaded, x), forward(model, x))
+    assert np.array_equal(loaded.flat, model.flat)
+    assert np.shares_memory(loaded.w1, loaded.flat)
+
+
+def test_param_views_write_through_to_forward():
+    model = init_model(3, seed=0)
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    model.params()["w1"].reshape(-1)[:] = 0.0  # h1 = relu(b1) = 0, so h2 = 0 too
+    model.params()["b3"].reshape(-1)[0] = 2.5
+    assert np.array_equal(forward(model, x), np.full(5, 2.5))
+    assert np.all(model.flat[: model.w1.size] == 0.0) and model.flat[-1] == 2.5
+
+
+def test_copy_weights_is_a_snapshot():
+    model = init_model(3, seed=0)
+    x, y = _linear_problem(20, 3, seed=0)
+    snapshot = model.copy_weights()
+    frozen = snapshot.flat.copy()
+    state = AdamState.init(model)
+    for _ in range(3):
+        _, grads = loss_and_grad(model, x, y)
+        adamw_step(model, grads, 1e-2, 0.1, state)
+    assert np.array_equal(snapshot.flat, frozen)
+    assert not np.array_equal(model.flat, frozen)
+    model.load_weights(snapshot)
+    assert np.array_equal(model.flat, frozen)
+
+
+def test_returned_gradients_survive_later_calls():
+    model = init_model(4, seed=0)
+    x, y = _linear_problem(16, 4, seed=0)
+    _, first = loss_and_grad(model, x, y)
+    kept = first.flat.copy()
+    _, second = loss_and_grad(model, x, y + 1.0)
+    assert np.array_equal(first.flat, kept)
+    assert not np.array_equal(second.flat, kept)
+    _, reused = loss_and_grad(model, x, y, first)  # a buffer passed in is written in place
+    assert reused is first and np.array_equal(first.flat, kept)
+
+
+# -- oracle: the per-tensor head, with fresh temporaries on every step ---------
+
+
+def _oracle_forward(w, x):
+    h1 = np.maximum(x @ w["w1"] + w["b1"], 0.0)
+    h2 = np.maximum(h1 @ w["w2"] + w["b2"], 0.0)
+    return (h2 @ w["w3"]).ravel() + w["b3"][0]
+
+
+def _oracle_loss_and_grad(w, x, y):
+    z1 = x @ w["w1"] + w["b1"]
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w["w2"] + w["b2"]
+    h2 = np.maximum(z2, 0.0)
+    resid = (h2 @ w["w3"]).ravel() + w["b3"][0] - y
+    d_yhat = (2.0 / y.size) * resid
+    d_z2 = np.outer(d_yhat, w["w3"].ravel()) * (z2 > 0)
+    d_z1 = (d_z2 @ w["w2"].T) * (z1 > 0)
+    grads = {
+        "w3": h2.T @ d_yhat[:, None], "b3": np.array([d_yhat.sum()]),
+        "w2": h1.T @ d_z2, "b2": d_z2.sum(axis=0),
+        "w1": x.T @ d_z1, "b1": d_z1.sum(axis=0),
+    }
+    return float(resid @ resid) / y.size, grads
+
+
+def _oracle_adamw(w, grads, lr, wd, m, v, t):
+    bc1, bc2 = 1.0 - mlp.ADAM_BETA1**t, 1.0 - mlp.ADAM_BETA2**t
+    for k, g in grads.items():
+        m[k] = mlp.ADAM_BETA1 * m[k] + (1.0 - mlp.ADAM_BETA1) * g
+        v[k] = mlp.ADAM_BETA2 * v[k] + (1.0 - mlp.ADAM_BETA2) * g * g
+        w[k] -= lr * wd * w[k]
+        w[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + mlp.ADAM_EPS)
+
+
+def _oracle_init(dim, seed):
+    rng = np.random.default_rng(seed)
+
+    def he(fan_in, fan_out):
+        limit = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    return {"w1": he(dim, 256), "b1": np.zeros(256), "w2": he(256, 256), "b2": np.zeros(256),
+            "w3": he(256, 1), "b3": np.zeros(1)}
+
+
+def _batches(n, batch_size, rng):
+    if n <= mlp.FULL_BATCH_MAX:
+        return [slice(None)]
+    order = rng.permutation(n)
+    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+
+
+@pytest.mark.parametrize("n", [300, 1100])  # full batch, and minibatches of 256 plus a remainder
+def test_fast_steps_equal_oracle_steps(n):
+    x, y = _linear_problem(n, 5, seed=n)
+    y = np.sin(3 * y)
+    model, w = init_model(5, seed=1), _oracle_init(5, seed=1)
+    state = AdamState.init(model)
+    m, v = {k: np.zeros_like(a) for k, a in w.items()}, {k: np.zeros_like(a) for k, a in w.items()}
+    fast_losses, oracle_losses, grads = [], [], None
+    rng = np.random.default_rng(0)
+    for t in range(1, 9):
+        for idx in _batches(n, 256, rng):
+            loss, grads = loss_and_grad(model, x[idx], y[idx], grads)
+            adamw_step(model, grads, 5e-3, 0.1, state)
+            fast_losses.append(loss)
+            loss, g = _oracle_loss_and_grad(w, x[idx], y[idx])
+            _oracle_adamw(w, g, 5e-3, 0.1, m, v, state.step)
+            oracle_losses.append(loss)
+    assert len(fast_losses) == (8 if n == 300 else 40)
+    assert fast_losses == oracle_losses
+    for name, value in model.params().items():
+        assert np.array_equal(value, w[name]), name
+
+
+def _oracle_train(x, y, xv, yv, cfg):
+    norm = mlp.fit_normalizer(y)
+    y, yv = norm.normalize(y), norm.normalize(yv)
+    init, sweep, best = _oracle_init(x.shape[1], cfg.seed), [], None
+    for i, lr in enumerate(cfg.learning_rates):
+        for j, wd in enumerate(cfg.weight_decays):
+            w = {k: a.copy() for k, a in init.items()}
+            m, v = {k: np.zeros_like(a) for k, a in w.items()}, {k: np.zeros_like(a) for k, a in w.items()}
+            rng = np.random.default_rng(mlp._seed_for_cell(cfg.seed, i, j))
+            t, best_val, best_w, best_epoch, stale = 0, np.inf, None, 0, 0
+            for epoch in range(1, cfg.max_epochs + 1):
+                for idx in _batches(x.shape[0], cfg.batch_size, rng):
+                    t += 1
+                    _oracle_adamw(w, _oracle_loss_and_grad(w, x[idx], y[idx])[1], lr, wd, m, v, t)
+                val = float(np.mean((_oracle_forward(w, xv) - yv) ** 2))
+                if val < best_val:
+                    best_val, best_w, best_epoch, stale = val, {k: a.copy() for k, a in w.items()}, epoch, 0
+                else:
+                    stale += 1
+                    if stale >= cfg.patience:
+                        break
+            sweep.append({"lr": lr, "weight_decay": wd, "val_mse": best_val, "epochs": best_epoch})
+            if best is None or best_val < best[0]:
+                best = (best_val, best_w)
+    return best[1], sweep
+
+
+@pytest.mark.parametrize("dim,n", [(5, 200), (64, 200), (3, 1100)])
+def test_train_equals_oracle_training_loop(dim, n):
+    rng = np.random.default_rng(dim)
+    x, xv = rng.standard_normal((n, dim)), rng.standard_normal((40, dim))
+    y, yv = np.sin(x).sum(axis=1), np.sin(xv).sum(axis=1)
+    cfg = TrainConfig(learning_rates=(1e-3, 1e-2), weight_decays=(0.0, 0.1),
+                      max_epochs=12 if n < 1000 else 3, patience=3, seed=2)
+    model, _, report = mlp.train((x, y), (xv, yv), cfg)
+    weights, sweep = _oracle_train(x, y, xv, yv, cfg)
+    assert report.sweep == sweep
+    for name, value in model.params().items():
+        assert np.array_equal(value, weights[name]), name
