@@ -119,9 +119,18 @@ class BbobFunction:
         v = np.asarray(x, dtype=np.float64)
         if v.ndim != 1 or v.size != self.dof:
             raise ValueError(f"expected a vector of length {self.dof}, got shape {v.shape}")
+        return self.evaluate_rows(v[None, :])[0]
+
+    def evaluate_rows(self, points) -> list[float]:
+        """``evaluate`` of each row of an (n, dof) matrix, checking the
+        domain once for the whole matrix."""
+        v = np.asarray(points, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != self.dof:
+            raise ValueError(f"expected an (n, {self.dof}) matrix, got shape {v.shape}")
         if np.any(v < LOWER_BOUND) or np.any(v > UPPER_BOUND):
             raise OutOfDomainError(f"coordinates must lie in [{LOWER_BOUND}, {UPPER_BOUND}]")
-        return get(self.id)(v)
+        fn = get(self.id)
+        return [fn(row) for row in v]
 
 
 def make(function_id: str, dof: int) -> BbobFunction:

@@ -19,7 +19,9 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 from . import bbob, metrics
 from .embedders import Embedder, build_embedder, check_spec
 from .featurize import StringFormat
+from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
 from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings
 from .tasks import (
@@ -71,6 +74,7 @@ class ExperimentConfig:
         for spec in coerced.get("embedders", ()):
             check_spec(spec)
         cfg = cls(**coerced)
+        cfg.fmt()
         TrainConfig.from_overrides(cfg.train)
         too_small = [n for n in (cfg.n_samples, *cfg.sizes) if n < MIN_SAMPLES]
         if too_small:
@@ -104,33 +108,38 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
     def fmt(self) -> StringFormat:
+        """``string_format`` as a :class:`StringFormat`; unknown keys raise ValueError."""
+        if not isinstance(self.string_format, dict):
+            raise ValueError(f"string_format must be an object, got {self.string_format!r}")
+        unknown = set(self.string_format) - set(StringFormat.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown string_format keys: {sorted(unknown)}")
         return StringFormat(**self.string_format)
 
 
 class RunStore:
-    """Append-only record log with cell-level resume."""
+    """Append-only record log with cell-level resume.
+
+    A torn last line (a run killed mid-append) is left unread, so its cell
+    runs again, and the next append cuts it off.
+    """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "records.jsonl"
-        self.records: dict[str, dict] = {}
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        self.records[rec["cell"]] = rec
+        self.log = JsonlLog(self.path, key=itemgetter("cell"), dumps=partial(json.dumps, sort_keys=True))
+
+    @property
+    def records(self) -> dict[str, dict]:
+        return self.log.index
 
     def completed(self, cell: str) -> bool:
         rec = self.records.get(cell)
         return rec is not None and rec.get("status") == "ok"
 
     def append(self, rec: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-        self.records[rec["cell"]] = rec
+        self.log.append([rec])
 
     def ok_records(self) -> list[dict]:
         return [r for r in self.records.values() if r.get("status") == "ok"]
@@ -174,11 +183,11 @@ class EmbedderPool:
     """The embedders of one run, shared by all cells that embed alike.
 
     Cells of one (task instance, embedder slot, string format) share one
-    embedder, so a transformer encodes each distinct text once and a remote
-    client loads its cache file once. Each embedder is built at the first
-    cell that needs it, so that a remote client sees what earlier cells wrote
-    to its cache, and dropped after the last. A build that raises is not
-    kept: every cell that needs it tries again and records its own failure.
+    embedder, so a transformer encodes each distinct text once. Each embedder
+    is built at the first cell that needs it and dropped after the last. A
+    build that raises is not kept: every cell that needs it tries again and
+    records its own failure. Remote clients of one cache file share one
+    in-memory cache per process (``EmbeddingCache.shared``).
     """
 
     def __init__(self, keys):
@@ -362,15 +371,13 @@ def _group(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, list[dict]
 def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=None):
     """Cross product of tasks, embedders, seeds, and optional extra axes."""
     sizes = sizes if sizes is not None else [cfg.n_samples]
-    variants = variants if variants is not None else [cfg.string_format.get("variant", "full_dict")]
+    base = cfg.fmt()
+    variants = variants if variants is not None else [base.variant]
     cells = []
     for instance in instances:
         for slot, spec in enumerate(cfg.embedders):
             for variant in variants:
-                fmt = StringFormat(
-                    variant=variant,
-                    float_precision=cfg.string_format.get("float_precision", 4),
-                )
+                fmt = replace(base, variant=variant)
                 for seed in cfg.seeds:
                     for size in sizes:
                         key = _cell_key(

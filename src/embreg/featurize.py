@@ -56,8 +56,10 @@ class StringFormat:
     def __post_init__(self) -> None:
         if self.variant not in (FULL_DICT, VALUES_ONLY):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.float_precision < 1:
-            raise ValueError("float_precision must be positive")
+        if type(self.float_precision) is not int or self.float_precision < 1:
+            raise ValueError(f"float_precision must be a positive integer, got {self.float_precision!r}")
+        if type(self.space_after_comma) is not bool:
+            raise ValueError(f"space_after_comma must be true or false, got {self.space_after_comma!r}")
 
 
 def format_float(v: float, sig_digits: int) -> str:

@@ -47,8 +47,9 @@ def _as_array(features) -> np.ndarray:
 class MlpModel(dict):
     """Weights ``w1`` ... ``b3`` (also attributes) as reshaped views into one
     flat float64 buffer ``flat``, in ``_PARAM_NAMES`` order; gradients and
-    snapshots share the type. ``workspaces`` holds ``loss_and_grad``'s buffers
-    per row count, so one model must not be trained from two threads at once.
+    snapshots share the type. ``workspaces`` holds the buffers of
+    ``loss_and_grad`` and ``forward`` per row count, so one model must not be
+    trained or run from two threads at once.
     """
 
     def __init__(self, input_dim: int, hidden: int = HIDDEN_WIDTH, flat: np.ndarray | None = None):
@@ -81,13 +82,22 @@ def init_model(input_dim: int, seed: int, hidden: int = HIDDEN_WIDTH) -> MlpMode
     return model
 
 
+def _workspace(model: MlpModel, n: int) -> tuple[np.ndarray, ...]:
+    """Buffers for ``n`` rows: h1, h2 (later d_z1), d_h2, a ReLU mask, the output."""
+    if n not in model.workspaces:
+        hidden = np.empty((3, n, model.hidden))
+        model.workspaces[n] = (*hidden, np.empty((n, model.hidden), dtype=bool), np.empty((n, 1)))
+    return model.workspaces[n]
+
+
 def forward(model: MlpModel, features) -> np.ndarray:
     x = _as_array(features)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"features must be (n, {model.input_dim}), got {x.shape}")
-    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
-    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
-    return (h2 @ model.w3).ravel() + model.b3[0]
+    h1, h2, _, _, out = _workspace(model, x.shape[0])
+    np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
+    np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
+    return np.matmul(h2, model.w3, out=out).ravel() + model.b3[0]
 
 
 def loss_and_grad(
@@ -104,10 +114,7 @@ def loss_and_grad(
     if x.shape[0] != n:
         raise ValueError(f"row count mismatch: {x.shape[0]} features vs {n} targets")
     grads = MlpModel(model.input_dim, model.hidden) if grads is None else grads
-    if n not in model.workspaces:  # h1, h2 (later d_z1), d_h2, a ReLU mask, the output
-        hidden = np.empty((3, n, model.hidden))
-        model.workspaces[n] = (*hidden, np.empty((n, model.hidden), dtype=bool), np.empty((n, 1)))
-    h1, h2, d_h2, mask, out = model.workspaces[n]
+    h1, h2, d_h2, mask, out = _workspace(model, n)
     np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
     np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
     resid = np.matmul(h2, model.w3, out=out).ravel()

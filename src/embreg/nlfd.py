@@ -89,18 +89,15 @@ def lipschitz_factors(m_norm: EmbeddingMatrix, y) -> NlfdSample:
     np.fill_diagonal(d2, np.inf)
     nearest = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
-    scale = math.sqrt(m_norm.dim)
-    factors = []
-    excluded = 0
-    for i, j in enumerate(nearest):
-        dist = float(np.linalg.norm(values[i] - values[j]))
-        if dist < DEGENERATE_DISTANCE:
-            excluded += 1
-            continue
-        factors.append(scale * abs(labels[i] - labels[j]) / dist)
-    if not factors:
+    # A stacked (1, d) @ (d, 1) product takes the dot path np.linalg.norm
+    # takes for one vector, so distances match it bit for bit.
+    diffs = values - values[nearest]
+    dist = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel())
+    keep = ~(dist < DEGENERATE_DISTANCE)
+    excluded = int(keep.size - np.count_nonzero(keep))
+    if excluded == keep.size:
         raise EmptySampleError(f"all {excluded} nearest-neighbor pairs were degenerate")
-    arr = np.array(factors, dtype=np.float64)
+    arr = math.sqrt(m_norm.dim) * np.abs(labels - labels[nearest])[keep] / dist[keep]
     return NlfdSample(
         factors=arr,
         dim=m_norm.dim,

@@ -16,12 +16,15 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import requests
 
 from .embedders import EmbeddingMatrix, config_hash
+from .jsonl import JsonlLog
 
 API_KEY_ENV = "EMBED_API_KEY"
 
@@ -45,35 +48,49 @@ def cache_key(endpoint: str, model: str, text: str) -> str:
 
 
 class EmbeddingCache:
-    """Append-only JSONL store; safe for concurrent writers in one process."""
+    """Append-only JSONL store of vectors by key, on a :class:`JsonlLog`.
+
+    ``shared`` keeps one cache per file per process, so every client of a
+    file shares one parse of it and one dict of vectors.
+    """
+
+    _shared: dict[Path, "EmbeddingCache"] = {}
+    _shared_lock = threading.Lock()
 
     def __init__(self, path):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[str, np.ndarray] = {}
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    self._entries[rec["key"]] = np.asarray(rec["values"], dtype=np.float64)
+        self.log = JsonlLog(self.path, key=itemgetter("key"), value=_vector, dumps=_dumps)
+
+    @classmethod
+    def shared(cls, path) -> "EmbeddingCache":
+        """This process's cache of ``path``, brought up to date with the file."""
+        resolved = Path(path).resolve()
+        with cls._shared_lock:
+            cache = cls._shared.get(resolved)
+            if cache is None:
+                cache = cls._shared[resolved] = cls(resolved)
+                return cache
+        cache.log.refresh()
+        return cache
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.log.index)
 
     def get(self, key: str) -> np.ndarray | None:
-        return self._entries.get(key)
+        return self.log.index.get(key)
 
-    def put(self, key: str, vector: np.ndarray) -> None:
-        rec = {"key": key, "dim": int(vector.size), "values": [float(v) for v in vector]}
-        line = json.dumps(rec, separators=(",", ":")) + "\n"
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(line)
-            self._entries[key] = np.asarray(vector, dtype=np.float64)
+    def put(self, entries: list[tuple[str, np.ndarray]]) -> None:
+        """Append ``(key, vector)`` pairs with one write."""
+        self.log.append(
+            [{"key": key, "dim": int(v.size), "values": v.tolist()} for key, v in entries]
+        )
+
+
+def _vector(rec: dict) -> np.ndarray:
+    return np.asarray(rec["values"], dtype=np.float64)
+
+
+_dumps = partial(json.dumps, separators=(",", ":"))
 
 
 class RemoteEmbedder:
@@ -99,7 +116,7 @@ class RemoteEmbedder:
         self.backoff = backoff
         self.max_inflight = max_inflight
         self.timeout = timeout
-        self.cache = EmbeddingCache(cache_path) if cache_path else None
+        self.cache = EmbeddingCache.shared(cache_path) if cache_path else None
         self.request_count = 0
         self._count_lock = threading.Lock()
         self.provenance = "remote:" + config_hash({"endpoint": endpoint, "model": model})
@@ -175,10 +192,9 @@ class RemoteEmbedder:
             with ThreadPoolExecutor(max_workers=self.max_inflight) as pool:
                 results = list(pool.map(self._post_batch, batches))
             for batch, vectors in zip(batches, results):
-                for text, vec in zip(batch, vectors):
-                    resolved[text] = vec
-                    if self.cache is not None:
-                        self.cache.put(cache_key(self.endpoint, self.model, text), vec)
+                resolved.update(zip(batch, vectors))
+            if self.cache is not None:
+                self.cache.put([(cache_key(self.endpoint, self.model, t), resolved[t]) for t in pending])
 
         dims = {resolved[t].size for t in texts}
         if len(dims) != 1:

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +131,13 @@ class RegressionTask:
     def dof(self) -> int:
         return len(self.params)
 
-    @property
+    @cached_property
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
+
+    @cached_property
+    def name_set(self) -> frozenset[str]:
+        return frozenset(self.param_names)
 
 
 def synthetic_task(function_id: str, dof: int, task_id: str | None = None) -> RegressionTask:
@@ -179,12 +184,11 @@ class Dataset:
 
 def validate_assignment(task: RegressionTask, x: dict, row: int | None = None) -> None:
     """Check that ``x`` assigns every param of ``task`` exactly once, in range."""
-    extra = set(x) - set(task.param_names)
-    if extra:
-        raise ValidationError(f"unknown params: {sorted(extra)}", row)
-    missing = set(task.param_names) - set(x)
-    if missing:
-        raise ValidationError(f"missing params: {sorted(missing)}", row)
+    if x.keys() != task.name_set:
+        extra = set(x) - task.name_set
+        if extra:
+            raise ValidationError(f"unknown params: {sorted(extra)}", row)
+        raise ValidationError(f"missing params: {sorted(task.name_set - set(x))}", row)
     for p in task.params:
         v = x[p.name]
         if p.kind == CONTINUOUS:
@@ -219,11 +223,12 @@ def sample_uniform(task: RegressionTask, n: int, seed: int) -> Dataset:
     lows = np.array([p.lo for p in task.params])
     highs = np.array([p.hi for p in task.params])
     points = rng.uniform(lows, highs, size=(n, task.dof))
-    examples = []
-    for row in points:
-        x = {p.name: float(v) for p, v in zip(task.params, row)}
-        examples.append(LabeledExample(x=x, y=fn.evaluate(row)))
-    return Dataset(task_id=task.id, examples=tuple(examples))
+    names = task.param_names
+    examples = tuple(
+        LabeledExample(x=dict(zip(names, row)), y=y)
+        for row, y in zip(points.tolist(), fn.evaluate_rows(points))
+    )
+    return Dataset(task_id=task.id, examples=examples)
 
 
 def split_dataset(

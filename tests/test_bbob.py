@@ -108,3 +108,20 @@ def test_catalog_contents():
         "different_powers",
         "sharp_ridge",
     }
+
+
+def test_evaluate_rows_equals_evaluate_per_row():
+    x = np.random.default_rng(1).uniform(-5, 5, (40, 6))
+    for fid in bbob.CATALOG:
+        fn = bbob.make(fid, 6)
+        assert fn.evaluate_rows(x) == [fn.evaluate(row) for row in x]
+
+
+def test_evaluate_rows_checks_shape_and_domain():
+    fn = bbob.make("sphere", 2)
+    with pytest.raises(ValueError, match=r"\(n, 2\) matrix"):
+        fn.evaluate_rows(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"\(n, 2\) matrix"):
+        fn.evaluate_rows(np.zeros(2))
+    with pytest.raises(bbob.OutOfDomainError, match=r"\[-5.0, 5.0\]"):
+        fn.evaluate_rows([[0.0, 0.0], [-5.5, 0.0]])

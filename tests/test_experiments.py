@@ -358,7 +358,7 @@ def test_scale_data_encodes_each_distinct_text_once(tmp_path, monkeypatch):
     assert len(forwards) == len(distinct)
 
 
-def test_remote_compare_loads_cache_once_per_client(tmp_path, monkeypatch, mock_service):
+def test_remote_compare_loads_cache_once_per_process(tmp_path, monkeypatch, mock_service):
     from embreg import remote
 
     loads, clients = [], []
@@ -380,13 +380,18 @@ def test_remote_compare_loads_cache_once_per_client(tmp_path, monkeypatch, mock_
     )
     exp_dir = experiments.run_comparison(cfg, tmp_path / "out")
     assert json.loads((exp_dir / "status.json").read_text())["failed"] == 0
-    # 6 remote cells, one client per task instance, one cache load per client.
+    # 6 remote cells, one client per task instance, one cache load per process.
     assert len(clients) == 2
-    assert len(loads) == 2
+    assert len(loads) == 1
     # Sampled texts do not depend on the function, so the client built at the
     # first rastrigin cell finds every text that the sphere cells cached.
     assert clients[0].request_count > 0
     assert clients[1].request_count == 0
+    # A forced rerun builds new clients on the same in-memory cache.
+    experiments.run_comparison(cfg, tmp_path / "out", force=True)
+    assert len(clients) == 4
+    assert len(loads) == 1
+    assert clients[2].request_count == clients[3].request_count == 0
 
 
 def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeypatch):
@@ -414,3 +419,51 @@ def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeyp
     assert len(builds) == 8  # a lost use count would drop an embedder early and rebuild it
     assert json.loads((par / "status.json").read_text())["failed"] == 0
     assert (seq / "dof_sweep_cells.csv").read_bytes() == (par / "dof_sweep_cells.csv").read_bytes()
+
+
+def test_config_checks_string_format_up_front():
+    with pytest.raises(ValueError, match="float_precison"):
+        _cfg(string_format={"variant": "full_dict", "float_precison": 3})
+    with pytest.raises(ValueError, match="variant"):
+        _cfg(string_format={"variant": "ful_dict"})
+    with pytest.raises(ValueError, match="float_precision"):
+        _cfg(string_format={"float_precision": 4.0})
+    with pytest.raises(ValueError, match="space_after_comma"):
+        _cfg(string_format={"space_after_comma": "yes"})
+
+
+def test_valid_string_formats_keep_their_config_hash():
+    spaced = {"variant": "values_only", "float_precision": 3, "space_after_comma": True}
+    assert _cfg(string_format=spaced).config_hash() == "ea8b9fbc8352"
+    assert _cfg(string_format={"float_precision": 6}).config_hash() == "339a1619681e"
+
+
+def test_cells_honour_every_string_format_field():
+    from embreg.featurize import StringFormat
+
+    cfg = _cfg(string_format={"variant": "values_only", "float_precision": 3, "space_after_comma": True})
+    instances = experiments.enumerate_tasks(cfg)
+    fmts = {kw["fmt"] for _, kw in experiments._standard_cells(cfg, instances)}
+    assert fmts == {StringFormat("values_only", 3, True)}
+    ablation = experiments._standard_cells(cfg, instances, variants=["full_dict", "values_only"])
+    assert {kw["fmt"] for _, kw in ablation} == {StringFormat("full_dict", 3, True), StringFormat("values_only", 3, True)}
+
+
+def test_resume_after_a_torn_last_record_matches_an_uninterrupted_run(tmp_path):
+    cfg = _cfg(functions=["sphere", "rastrigin"])
+    full = experiments.run_dof_sweep(cfg, tmp_path / "full")
+    names = ("dof_sweep_cells.csv", "dof_sweep_summary.csv")
+
+    part = experiments.run_dof_sweep(cfg, tmp_path / "part")
+    records = part / "records.jsonl"
+    data = records.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    records.write_bytes(data[: last + (len(data) - last) // 2])  # killed mid-append
+    messages = []
+    experiments.run_dof_sweep(cfg, tmp_path / "part", echo=messages.append)
+    assert "4 cells total, 1 to run" in messages
+    for name in names:
+        assert (part / name).read_bytes() == (full / name).read_bytes()
+    lines = records.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 5
+    assert sorted(json.loads(line)["cell"] for line in lines[:-1]) == sorted(RunStore(full).records)

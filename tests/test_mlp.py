@@ -402,3 +402,15 @@ def test_train_equals_oracle_training_loop(dim, n):
     assert report.sweep == sweep
     for name, value in model.params().items():
         assert np.array_equal(value, weights[name]), name
+
+
+def test_forward_reuses_workspaces_and_equals_the_oracle():
+    model = init_model(7, seed=3)
+    w = {k: v.copy() for k, v in model.items()}
+    x = np.random.default_rng(4).standard_normal((33, 7))
+    first = forward(model, x)
+    buffers = model.workspaces[33]
+    second = forward(model, 2.0 * x)
+    assert model.workspaces[33] is buffers and len(model.workspaces) == 1
+    assert np.array_equal(first, _oracle_forward(w, x))  # not overwritten by the later call
+    assert np.array_equal(second, _oracle_forward(w, 2.0 * x))

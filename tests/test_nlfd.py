@@ -212,3 +212,79 @@ def test_smoothness_ordering_matches_regression_ordering():
     assert comp.z < 0
     assert gap < 0
     assert np.sign(comp.z) == np.sign(gap)
+
+
+def _factors_loop(values, labels):
+    """The per-pair loop lipschitz_factors replaced, kept as its oracle."""
+    sq_norms = np.sum(values * values, axis=1)
+    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (values @ values.T)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argmin(d2, axis=1)
+    scale = math.sqrt(values.shape[1])
+    factors, excluded = [], 0
+    for i, j in enumerate(nearest):
+        dist = float(np.linalg.norm(values[i] - values[j]))
+        if dist < nlfd.DEGENERATE_DISTANCE:
+            excluded += 1
+            continue
+        factors.append(scale * abs(labels[i] - labels[j]) / dist)
+    return np.array(factors, dtype=np.float64), excluded
+
+
+@pytest.mark.parametrize("dim", [1, 5, 10, 20, 64, 300])
+def test_factors_equal_the_per_pair_loop_exactly(dim):
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((200, dim))
+    values[7] = values[3]  # an exact duplicate, excluded
+    values[9] = values[4] + 1e-7  # a near duplicate, kept
+    labels = rng.standard_normal(200)
+    m = nlfd.normalize_embeddings(_matrix(values))
+    sample = nlfd.lipschitz_factors(m, labels)
+    factors, excluded = _factors_loop(m.values, labels)
+    assert np.array_equal(sample.factors, factors)
+    assert sample.excluded_pairs == excluded >= 2
+    assert sample.mu == float(factors.mean()) and sample.sigma == float(factors.std())
+
+
+def _factors_bruteforce(values, labels):
+    """Exact distances to every other row, nearest taken at the lowest index."""
+    n, dim = values.shape
+    factors, excluded = [], 0
+    for i in range(n):
+        dists = [np.linalg.norm(values[i] - values[j]) if j != i else np.inf for j in range(n)]
+        j = dists.index(min(dists))
+        if dists[j] < nlfd.DEGENERATE_DISTANCE:
+            excluded += 1
+        else:
+            factors.append(math.sqrt(dim) * abs(labels[i] - labels[j]) / dists[j])
+    return np.array(factors, dtype=np.float64), excluded
+
+
+def test_factors_equal_a_brute_force_nearest_neighbor_oracle():
+    """Integer grids make exact ties common; copies and nudges of rows by
+    multiples of 2**-12 add duplicates and near duplicates. Every coordinate
+    has few bits, so squared distances are exact on both paths and a tie is
+    a tie on both. 500 instances."""
+    rng = np.random.default_rng(20240)
+    checked = empty = 0
+    for _ in range(500):
+        n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        values = rng.integers(-3, 4, (n, dim)).astype(np.float64)
+        for i in range(1, n):
+            roll = rng.random()
+            if roll < 0.15:
+                values[i] = values[rng.integers(0, i)]
+            elif roll < 0.3:
+                values[i] = values[rng.integers(0, i)] + rng.integers(-4, 5, dim) * 2.0**-12
+        labels = rng.integers(0, 5, n).astype(np.float64)
+        factors, excluded = _factors_bruteforce(values, labels)
+        if factors.size == 0:
+            with pytest.raises(EmptySampleError):
+                nlfd.lipschitz_factors(_matrix(values), labels)
+            empty += 1
+            continue
+        sample = nlfd.lipschitz_factors(_matrix(values), labels)
+        assert np.array_equal(sample.factors, factors)
+        assert sample.excluded_pairs == excluded
+        checked += 1
+    assert checked > 400 and empty > 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -65,9 +67,12 @@ def test_cached_results_survive_dead_endpoint(mock_service, tmp_path):
     # Cache keys include the endpoint, so rekey the entries under the dead
     # endpoint before constructing its client.
     entries = EmbeddingCache(cache)
-    for text in ("a", "b"):
-        vec = entries.get(cache_key(mock_service.endpoint, "m", text))
-        entries.put(cache_key("http://127.0.0.1:9/embed", "m", text), vec)
+    entries.put(
+        [
+            (cache_key("http://127.0.0.1:9/embed", "m", text), entries.get(cache_key(mock_service.endpoint, "m", text)))
+            for text in ("a", "b")
+        ]
+    )
     dead = RemoteEmbedder("http://127.0.0.1:9/embed", "m", cache_path=cache, backoff=0.01)
     out = dead.embed_texts(["a", "b"])
     assert out.rows == 2
@@ -165,3 +170,67 @@ def test_timeout_and_rate_limit_are_retried(mock_service, tmp_path, status):
     )
     assert client.embed_texts(["x"]).rows == 1
     assert mock_service.request_count == 3
+
+
+def test_clients_of_one_file_share_one_cache(mock_service, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    first = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    second = RemoteEmbedder(mock_service.endpoint, "m", cache_path=tmp_path / "." / "c.jsonl")
+    assert first.cache is second.cache is EmbeddingCache.shared(cache)
+    assert RemoteEmbedder(mock_service.endpoint, "m", cache_path=tmp_path / "d.jsonl").cache is not first.cache
+
+
+def test_shared_cache_picks_up_another_writers_appends(mock_service, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    shared = EmbeddingCache.shared(cache)
+    key = cache_key(mock_service.endpoint, "m", "a")
+    EmbeddingCache(cache).put([(key, np.arange(3.0))])  # another process's append
+    assert shared.get(key) is None
+    assert EmbeddingCache.shared(cache) is shared
+    assert np.array_equal(shared.get(key), np.arange(3.0))
+    client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    assert np.array_equal(client.embed_texts(["a"]).values, [np.arange(3.0)])
+    assert mock_service.request_count == 0
+
+
+def test_shared_cache_reloads_after_the_file_is_deleted_or_replaced(mock_service, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    client.embed_texts(["a", "b"])
+    assert len(client.cache) == 2
+
+    cache.unlink()
+    again = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    assert again.cache is client.cache and len(again.cache) == 0
+    again.embed_texts(["a"])
+    assert mock_service.batch_sizes() == [2, 1]
+
+    other = tmp_path / "other.jsonl"
+    EmbeddingCache(other).put([(cache_key(mock_service.endpoint, "m", "z"), np.ones(8))])
+    other.replace(cache)
+    replaced = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    assert len(replaced.cache) == 1
+    assert np.array_equal(replaced.embed_texts(["z"]).values, [np.ones(8)])
+    assert mock_service.request_count == 2
+
+
+def test_torn_cache_tail_is_cut_not_glued_onto_the_next_vector(mock_service, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    texts = ["a", "b", "c"]
+    first = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache).embed_texts(texts)
+    data = cache.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    cache.write_bytes(data[: last + 40])  # killed mid-append: "c" lost, 40 bytes torn
+
+    fresh = EmbeddingCache(cache)  # a new process parses up to the torn tail
+    assert len(fresh) == 2 and fresh.log.torn_bytes == 40
+    client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
+    again = client.embed_texts(texts)
+    assert mock_service.batch_sizes() == [3, 1]  # only "c" is asked for again
+    assert np.array_equal(again.values, first.values)
+    lines = cache.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 4
+    assert [json.loads(line)["key"] for line in lines[:-1]] == [
+        cache_key(mock_service.endpoint, "m", t) for t in texts
+    ]
+    assert cache.read_bytes() == data

@@ -234,3 +234,29 @@ def test_validate_assignment_errors():
         tasks.validate_example(
             task, LabeledExample(x={"lr": 0.5, "act": "relu"}, y=float("inf"))
         )
+
+
+def test_sample_uniform_equals_per_row_evaluation():
+    """The bulk path builds the same examples the per-row loop did."""
+    for fid, dof in (("rastrigin", 7), ("sharp_ridge", 3)):
+        t = tasks.synthetic_task(fid, dof)
+        ds = tasks.sample_uniform(t, 300, seed=5)
+        fn = tasks.bbob.make(fid, dof)
+        points = np.random.default_rng(5).uniform(-5.0, 5.0, size=(300, dof))
+        expected = tuple(
+            LabeledExample(x={p.name: float(v) for p, v in zip(t.params, row)}, y=fn.evaluate(row))
+            for row in points
+        )
+        assert ds.examples == expected
+        assert all(list(ex.x) == list(t.param_names) for ex in ds)
+
+
+def test_task_caches_its_param_names():
+    t = tasks.synthetic_task("sphere", 3)
+    assert t.param_names == ("x0", "x1", "x2") and t.param_names is t.param_names
+    assert t.name_set == frozenset(t.param_names)
+    assert t == tasks.synthetic_task("sphere", 3) and hash(t) == hash(tasks.synthetic_task("sphere", 3))
+    with pytest.raises(ValidationError, match=r"unknown params: \['zz'\]"):
+        tasks.validate_assignment(t, {"x0": 0.0, "x1": 0.0, "x2": 0.0, "zz": 1.0})
+    with pytest.raises(ValidationError, match=r"missing params: \['x1', 'x2'\]"):
+        tasks.validate_assignment(t, {"x0": 0.0})
