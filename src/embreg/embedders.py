@@ -23,18 +23,6 @@ from .tasks import RegressionTask
 
 BYTE_VOCAB = 256
 
-#: Published embedding widths of common hosted models, for configuring the
-#: remote backend and sizing caches.
-REFERENCE_EMBEDDING_DIMS = {
-    "t5-small": 512,
-    "t5-large": 1024,
-    "t5-xl": 2048,
-    "t5-xxl": 4096,
-    "gemini-nano": 1536,
-    "gemini-pro": 6144,
-    "gemini-ultra": 14336,
-}
-
 
 class EmptyTextError(ValueError):
     """Tokenizer input was empty."""
@@ -269,12 +257,6 @@ class SyntheticTransformer:
         return EmbeddingMatrix(
             values=np.stack([self.encode(t) for t in texts]), provenance=self.provenance
         )
-
-
-def embed_synthetic_transformer(
-    texts: list[str], cfg: SyntheticTransformerConfig, table: VocabTable
-) -> EmbeddingMatrix:
-    return SyntheticTransformer(cfg, table).embed(texts)
 
 
 def embed_traditional(task: RegressionTask, xs: list[dict]) -> EmbeddingMatrix:

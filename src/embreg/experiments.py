@@ -18,9 +18,9 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -158,6 +158,12 @@ class TaskInstance:
     def label(self) -> str:
         return f"{self.family}/dof{self.task.dof}"
 
+    @property
+    def inputs(self):
+        """What the instance's inputs depend on: its parameter space when
+        sampled, the instance itself when read from an offline table."""
+        return self.task.params if self.data_path is None else self
+
 
 def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list[TaskInstance]:
     instances = [
@@ -179,44 +185,97 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
     return instances
 
 
-class EmbedderPool:
-    """The embedders of one run, shared by all cells that embed alike.
+class InputShare:
+    """The inputs of one run's cells, each computed once and shared by every
+    cell that needs it.
 
-    Cells of one (task instance, embedder slot, string format) share one
-    embedder, so a transformer encodes each distinct text once. Each embedder
-    is built at the first cell that needs it and dropped after the last. A
-    build that raises is not kept: every cell that needs it tries again and
-    records its own failure. Remote clients of one cache file share one
-    in-memory cache per process (``EmbeddingCache.shared``).
+    Three kinds of entries:
+
+    - the sampled (or ingested) dataset and its split, per (task instance, n,
+      seed), shared by every embedder slot and string format;
+    - an embedder per (slot, string format, input family), so one transformer
+      memo or one remote client serves every function;
+    - the three embedded split matrices, read-only, per (slot, string format,
+      input family, n, seed), shared by every function.
+
+    The input family (:attr:`TaskInstance.inputs`) is what a cell's inputs
+    depend on: ``sample_uniform`` draws ``x`` from the box, n and the seed,
+    and the split permutes by (n, seed), so all functions of one DOF embed
+    byte-identical inputs. Entries are built lazily by the first cell that
+    needs them, while other cells needing the same entry wait for that build;
+    an entry is dropped after the last cell that counts a use of it. A build
+    that raises is not kept: the next cell that needs it builds again and
+    records its own error.
     """
 
-    def __init__(self, keys):
-        self._uses = Counter(keys)
-        self._built: dict[tuple, Embedder] = {}
+    def __init__(self, cell_keys):
+        self._uses = Counter(key for keys in cell_keys for key in keys)
+        self._entries: dict[tuple, _Entry] = {}
         self._lock = threading.Lock()
 
     @staticmethod
-    def key(instance: "TaskInstance", slot: int, fmt: StringFormat) -> tuple:
-        return (instance, slot, fmt)
+    def keys(instance: "TaskInstance", slot: int, fmt: StringFormat, seed: int, n_samples: int) -> tuple:
+        """The (split, embedder, embedded split) keys of one cell."""
+        inputs = (slot, fmt, instance.inputs)
+        return (
+            ("split", instance, n_samples, seed),
+            ("embedder", *inputs),
+            ("embedded", *inputs, n_samples, seed),
+        )
 
-    @contextmanager
-    def lease(self, key: tuple, build):
-        """Yield the embedder under ``key``, built by ``build()`` if absent."""
-        try:
-            with self._lock:
-                if key not in self._built:
-                    self._built[key] = build()
-                embedder = self._built[key]
-            yield embedder
-        finally:
-            with self._lock:
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple, build):
+        """The value under ``key``, built by ``build()`` if no cell has yet."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = _Entry()
+        with entry.lock:
+            if not entry.built:
+                entry.value = build()
+                entry.built = True
+            return entry.value
+
+    def release(self, keys) -> None:
+        """Count one use of each key, dropping entries with no use left."""
+        with self._lock:
+            for key in keys:
                 self._uses[key] -= 1
                 if self._uses[key] <= 0:
-                    self._built.pop(key, None)
+                    del self._uses[key]
+                    self._entries.pop(key, None)
+
+
+class _Entry:
+    __slots__ = ("lock", "built", "value")
+
+    def __init__(self):
+        self.lock = threading.Lock()  # held by the cell building the value
+        self.built = False
+        self.value = None
 
 
 def _cell_key(**parts) -> str:
     return ";".join(f"{k}={parts[k]}" for k in sorted(parts))
+
+
+def _sample_and_split(instance: TaskInstance, n_samples: int, seed: int) -> tuple[int, tuple]:
+    """The instance's dataset size and its (train, validation, test) split."""
+    if instance.data_path is None:
+        ds = sample_uniform(instance.task, n_samples, seed)
+    else:
+        ds = ingest_offline(instance.data_path, instance.task)
+    return len(ds), split_dataset(ds, SPLIT_RATIOS, seed)
+
+
+def _embed_parts(embedder: Embedder, parts) -> tuple[str, str, tuple]:
+    """The embedder's kind, provenance and read-only matrices of the split."""
+    matrices = tuple(embedder.embed(part.xs) for part in parts)
+    for m in matrices:
+        m.values.flags.writeable = False
+    return embedder.kind, embedder.provenance, matrices
 
 
 def run_cell(
@@ -227,39 +286,39 @@ def run_cell(
     fmt: StringFormat,
     train_overrides: dict,
     slot: int = 0,
-    pool: EmbedderPool | None = None,
+    share: InputShare | None = None,
 ) -> dict:
     """Sample (or ingest), split 8-1-1, embed, train, evaluate, and compute the
     roughness-factor summary over the pooled data.
 
-    ``pool`` holds the run's embedders; a cell run alone builds its own.
+    ``share`` holds the run's inputs; a cell run alone computes its own.
     """
     started = time.time()
     task = instance.task
-    if instance.data_path is None:
-        ds = sample_uniform(task, n_samples, seed)
-    else:
-        ds = ingest_offline(instance.data_path, task)
-    train_ds, val_ds, test_ds = split_dataset(ds, SPLIT_RATIOS, seed)
-
-    key = EmbedderPool.key(instance, slot, fmt)
-    pool = pool or EmbedderPool([key])
-    with pool.lease(key, lambda: build_embedder(embedder_spec, task, fmt)) as embedder:
-        m_train = embedder.embed(train_ds.xs)
-        m_val = embedder.embed(val_ds.xs)
-        m_test = embedder.embed(test_ds.xs)
+    keys = InputShare.keys(instance, slot, fmt, seed, n_samples)
+    if share is None:
+        share = InputShare([keys])
+    split_key, embedder_key, embedded_key = keys
+    try:
+        n, parts = share.get(split_key, lambda: _sample_and_split(instance, n_samples, seed))
+        kind, provenance, matrices = share.get(
+            embedded_key,
+            lambda: _embed_parts(
+                share.get(embedder_key, lambda: build_embedder(embedder_spec, task, fmt)), parts
+            ),
+        )
+    finally:
+        share.release(keys)
+    (m_train, m_val, m_test), (y_train, y_val, y_test) = matrices, [part.y for part in parts]
 
     cfg = TrainConfig.from_overrides({**train_overrides, "seed": seed})
-    _, _, report = train_and_evaluate(
-        (m_train, train_ds.y), (m_val, val_ds.y), (m_test, test_ds.y), cfg
-    )
+    _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), cfg)
 
-    pool = EmbeddingMatrix(
+    pooled = EmbeddingMatrix(
         values=np.vstack([m_train.values, m_val.values, m_test.values]),
         provenance=m_train.provenance,
     )
-    pool_y = np.concatenate([train_ds.y, val_ds.y, test_ds.y])
-    sample = lipschitz_factors(normalize_embeddings(pool), pool_y)
+    sample = lipschitz_factors(normalize_embeddings(pooled), np.concatenate([y_train, y_val, y_test]))
 
     return {
         "status": "ok",
@@ -267,10 +326,10 @@ def run_cell(
         "task_id": task.id,
         "dof": task.dof,
         "slot": slot,
-        "embedder_kind": embedder.kind,
-        "embedder": embedder.provenance,
+        "embedder_kind": kind,
+        "embedder": provenance,
         "seed": seed,
-        "n": len(ds),
+        "n": n,
         "fmt": fmt.variant,
         **report.metrics,
         "chosen_lr": report.chosen_lr,
@@ -296,12 +355,14 @@ def _execute_cells(
     todo = [(key, spec) for key, spec in cells if force or not store.completed(key)]
     if echo:
         echo(f"{len(cells)} cells total, {len(todo)} to run")
-    embedders = EmbedderPool(EmbedderPool.key(kw["instance"], kw["slot"], kw["fmt"]) for _, kw in todo)
+    share = InputShare(
+        InputShare.keys(kw["instance"], kw["slot"], kw["fmt"], kw["seed"], kw["n_samples"]) for _, kw in todo
+    )
 
     def run_one(item):
         key, kwargs = item
         try:
-            rec = runner(**kwargs, pool=embedders)
+            rec = runner(**kwargs, share=share)
         except Exception as e:  # cell failures must not sink the sweep
             rec = {"status": "error", "error": f"{type(e).__name__}: {e}", "ts": time.strftime("%Y-%m-%dT%H:%M:%S")}
         rec["cell"] = key
@@ -369,40 +430,34 @@ def _group(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, list[dict]
 
 
 def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=None):
-    """Cross product of tasks, embedders, seeds, and optional extra axes."""
+    """Cross product of tasks, embedders, seeds, and optional extra axes.
+
+    Cells that share an input set run back to back (input family, then seed,
+    size, function, slot and string format), so each :class:`InputShare`
+    entry lives across adjacent cells only.
+    """
     sizes = sizes if sizes is not None else [cfg.n_samples]
     base = cfg.fmt()
-    variants = variants if variants is not None else [base.variant]
-    cells = []
+    fmts = [replace(base, variant=v) for v in (variants if variants is not None else [base.variant])]
+    families: dict = {}
     for instance in instances:
-        for slot, spec in enumerate(cfg.embedders):
-            for variant in variants:
-                fmt = replace(base, variant=variant)
-                for seed in cfg.seeds:
-                    for size in sizes:
-                        key = _cell_key(
-                            family=instance.family,
-                            dof=instance.task.dof,
-                            slot=slot,
-                            seed=seed,
-                            n=size,
-                            fmt=variant,
-                        )
-                        cells.append(
-                            (
-                                key,
-                                {
-                                    "instance": instance,
-                                    "embedder_spec": spec,
-                                    "slot": slot,
-                                    "seed": seed,
-                                    "n_samples": size,
-                                    "fmt": fmt,
-                                    "train_overrides": cfg.train,
-                                },
-                            )
-                        )
-    return cells
+        families.setdefault(instance.inputs, []).append(instance)
+    return [
+        (
+            _cell_key(family=instance.family, dof=instance.task.dof, slot=slot, seed=seed, n=size, fmt=fmt.variant),
+            {
+                "instance": instance,
+                "embedder_spec": cfg.embedders[slot],
+                "slot": slot,
+                "seed": seed,
+                "n_samples": size,
+                "fmt": fmt,
+                "train_overrides": cfg.train,
+            },
+        )
+        for family in families.values()
+        for seed, size, instance, slot, fmt in product(cfg.seeds, sizes, family, range(len(cfg.embedders)), fmts)
+    ]
 
 
 def run_dof_sweep(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:

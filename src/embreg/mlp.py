@@ -22,6 +22,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 FULL_BATCH_MAX = 1024
+#: Elements per block of ``adamw_step``: each block of the parameter, moment
+#: and gradient buffers stays in cache through all of the step's passes.
+ADAMW_BLOCK = 32_768
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -146,7 +149,7 @@ class AdamState:
     step: int = 0
 
     def __post_init__(self) -> None:
-        self.scratch = np.empty((2, self.m.size))
+        self.scratch = np.empty((2, min(self.m.size, ADAMW_BLOCK)))
 
     @classmethod
     def init(cls, model: MlpModel) -> "AdamState":
@@ -164,18 +167,22 @@ def adamw_step(model: MlpModel, grads: dict, lr: float, weight_decay: float, sta
         raise TrainingDivergedError("non-finite gradient")
     state.step += 1
     bc1, bc2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
-    p, m, v, (s, d) = model.flat, state.m, state.v, state.scratch
-    # Each pass keeps the operand order of the per-tensor update, so results
-    # stay bit-identical: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    # p -= (lr*wd)*p, then p -= (lr*m_hat) / (sqrt(v_hat) + eps).
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-    v *= ADAM_BETA2
-    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
-    p -= np.multiply(p, lr * weight_decay, out=s)
-    s = np.multiply(np.divide(m, bc1, out=s), lr, out=s)
-    d = np.add(np.sqrt(np.divide(v, bc2, out=d), out=d), ADAM_EPS, out=d)
-    p -= np.divide(s, d, out=s)
+    for lo in range(0, g.size, ADAMW_BLOCK):
+        block = slice(lo, lo + ADAMW_BLOCK)
+        p, m, v, gb = model.flat[block], state.m[block], state.v[block], g[block]
+        s, d = state.scratch[:, : gb.size]
+        # Each pass keeps the operand order of the per-tensor update, so
+        # results stay bit-identical: m = b1*m + (1-b1)*g,
+        # v = b2*v + ((1-b2)*g)*g, p -= (lr*wd)*p, then
+        # p -= (lr*m_hat) / (sqrt(v_hat) + eps).
+        m *= ADAM_BETA1
+        m += np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(gb, 1.0 - ADAM_BETA2, out=s), gb, out=s)
+        p -= np.multiply(p, lr * weight_decay, out=s)
+        s = np.multiply(np.divide(m, bc1, out=s), lr, out=s)
+        d = np.add(np.sqrt(np.divide(v, bc2, out=d), out=d), ADAM_EPS, out=d)
+        p -= np.divide(s, d, out=s)
 
 
 @dataclass(frozen=True)

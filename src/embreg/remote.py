@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -40,6 +41,8 @@ class EmbeddingServiceError(RuntimeError):
 
 #: Client-error statuses that may succeed when the same request is retried.
 RETRYABLE_4XX = (408, 429)
+#: Statuses whose ``Retry-After`` header (in seconds) sets the retry delay.
+RETRY_AFTER_STATUSES = (429, 503)
 
 
 def cache_key(endpoint: str, model: str, text: str) -> str:
@@ -151,10 +154,23 @@ class RemoteEmbedder:
                 # EmbeddingServiceError subclasses RuntimeError and propagates.
                 last_error = e
                 if attempt < self.max_attempts:
-                    time.sleep(self.backoff * 2 ** (attempt - 1))
+                    time.sleep(self._retry_delay(attempt, getattr(e, "response", None)))
         raise TransportError(
             f"embedding request failed after {self.max_attempts} attempts: {last_error}"
         )
+
+    def _retry_delay(self, attempt: int, resp) -> float:
+        """Seconds to wait after failed ``attempt``: a 429 or 503 answer's
+        ``Retry-After`` seconds, capped at the longest backoff, or else the
+        exponential backoff."""
+        if resp is not None and resp.status_code in RETRY_AFTER_STATUSES:
+            try:
+                after = float(resp.headers["Retry-After"])
+            except (KeyError, ValueError):
+                after = math.nan
+            if 0.0 <= after < math.inf:  # NaN fails this test too
+                return min(after, self.backoff * 2 ** (self.max_attempts - 2))
+        return self.backoff * 2 ** (attempt - 1)
 
     @staticmethod
     def _validate(batch: list[str], payload: dict) -> list[np.ndarray]:

@@ -25,6 +25,7 @@ class MockEmbeddingService:
         self.fail_next = 0  # number of upcoming requests to answer with fail_status
         self.always_fail = False
         self.fail_status = 500
+        self.retry_after = None  # Retry-After header value sent with failures, if any
         self.mixed_dims = False
         self.inject_nan = False
         self.requests: list[dict] = []
@@ -43,6 +44,8 @@ class MockEmbeddingService:
                         service.fail_next -= 1
                 if should_fail:
                     self.send_response(service.fail_status)
+                    if service.retry_after is not None:
+                        self.send_header("Retry-After", service.retry_after)
                     self.end_headers()
                     self.wfile.write(b"boom")
                     return
@@ -64,7 +67,9 @@ class MockEmbeddingService:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         self.endpoint = f"http://127.0.0.1:{self._server.server_address[1]}/embed"
 

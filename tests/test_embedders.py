@@ -81,23 +81,23 @@ def _transformer(seed=0, model_dim=32):
 
 def test_transformer_output_dim_and_determinism():
     cfg, table = _transformer()
-    out = embedders.embed_synthetic_transformer(["x0:0.32,x1:4.0", "zz"], cfg, table)
+    out = SyntheticTransformer(cfg, table).embed(["x0:0.32,x1:4.0", "zz"])
     assert out.values.shape == (2, 32)
-    again = embedders.embed_synthetic_transformer(["x0:0.32,x1:4.0", "zz"], cfg, table)
+    again = SyntheticTransformer(cfg, table).embed(["x0:0.32,x1:4.0", "zz"])
     assert np.array_equal(out.values, again.values)
 
 
 def test_transformer_batch_permutation():
     cfg, table = _transformer()
-    ab = embedders.embed_synthetic_transformer(["first", "second"], cfg, table)
-    ba = embedders.embed_synthetic_transformer(["second", "first"], cfg, table)
+    ab = SyntheticTransformer(cfg, table).embed(["first", "second"])
+    ba = SyntheticTransformer(cfg, table).embed(["second", "first"])
     assert np.array_equal(ab.values[0], ba.values[1])
     assert np.array_equal(ab.values[1], ba.values[0])
 
 
 def test_transformer_token_order_matters():
     cfg, table = _transformer()
-    out = embedders.embed_synthetic_transformer(["ab", "ba"], cfg, table)
+    out = SyntheticTransformer(cfg, table).embed(["ab", "ba"])
     assert not np.allclose(out.values[0], out.values[1])
 
 
@@ -182,7 +182,7 @@ def test_encode_memo_hit_is_bit_identical_to_fresh_model(monkeypatch):
         assert a is b
         assert not a.flags.writeable
         assert np.array_equal(a, fresh.encode(t))
-    assert np.array_equal(embedders.embed_synthetic_transformer(texts, cfg, table).values, np.stack(first))
+    assert np.array_equal(SyntheticTransformer(cfg, table).embed(texts).values, np.stack(first))
 
 
 def test_collect_attention_runs_on_a_memoized_text():
@@ -287,14 +287,3 @@ def test_build_embedder_config_changes_provenance():
     a = embedders.build_embedder({"kind": "vocab_pool", "seed": 0}, task)
     b = embedders.build_embedder({"kind": "vocab_pool", "seed": 1}, task)
     assert a.provenance != b.provenance
-
-
-def test_reference_dims_catalog():
-    dims = embedders.REFERENCE_EMBEDDING_DIMS
-    assert dims["t5-small"] == 512
-    assert dims["t5-large"] == 1024
-    assert dims["t5-xl"] == 2048
-    assert dims["t5-xxl"] == 4096
-    assert dims["gemini-nano"] == 1536
-    assert dims["gemini-pro"] == 6144
-    assert dims["gemini-ultra"] == 14336

@@ -353,9 +353,9 @@ def test_scale_data_encodes_each_distinct_text_once(tmp_path, monkeypatch):
         for seed in cfg.seeds:
             for size in cfg.sizes:
                 for x in tasks.sample_uniform(task, size, seed).xs:
-                    # One model per task instance: the texts of two tasks never share a memo.
-                    distinct.add((function, featurize.serialize(task, x, featurize.StringFormat())))
-    assert len(forwards) == len(distinct)
+                    distinct.add(featurize.serialize(task, x, featurize.StringFormat()))
+    # One model per input family: both functions' texts share one memo.
+    assert len(forwards) == len(distinct) == 80
 
 
 def test_remote_compare_loads_cache_once_per_process(tmp_path, monkeypatch, mock_service):
@@ -380,18 +380,16 @@ def test_remote_compare_loads_cache_once_per_process(tmp_path, monkeypatch, mock
     )
     exp_dir = experiments.run_comparison(cfg, tmp_path / "out")
     assert json.loads((exp_dir / "status.json").read_text())["failed"] == 0
-    # 6 remote cells, one client per task instance, one cache load per process.
+    # 6 remote cells, one client per input family, one cache load per process.
+    assert len(clients) == 1
+    assert len(loads) == 1
+    assert clients[0].request_count > 0
+    # A forced rerun builds a new client on the same in-memory cache, which
+    # already holds every text.
+    experiments.run_comparison(cfg, tmp_path / "out", force=True)
     assert len(clients) == 2
     assert len(loads) == 1
-    # Sampled texts do not depend on the function, so the client built at the
-    # first rastrigin cell finds every text that the sphere cells cached.
-    assert clients[0].request_count > 0
     assert clients[1].request_count == 0
-    # A forced rerun builds new clients on the same in-memory cache.
-    experiments.run_comparison(cfg, tmp_path / "out", force=True)
-    assert len(clients) == 4
-    assert len(loads) == 1
-    assert clients[2].request_count == clients[3].request_count == 0
 
 
 def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeypatch):
@@ -409,14 +407,14 @@ def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeyp
         seeds=[0, 1, 2, 3],
     )
     seq = experiments.run_dof_sweep(cfg, tmp_path / "seq", workers=1)
-    assert len(builds) == 4  # (sphere, rastrigin) x 2 slots
+    assert len(builds) == 2  # 2 slots, each shared by sphere and rastrigin
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         par = experiments.run_dof_sweep(cfg, tmp_path / "par", workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 8  # a lost use count would drop an embedder early and rebuild it
+    assert len(builds) == 4  # a lost use count would drop an embedder early and rebuild it
     assert json.loads((par / "status.json").read_text())["failed"] == 0
     assert (seq / "dof_sweep_cells.csv").read_bytes() == (par / "dof_sweep_cells.csv").read_bytes()
 
@@ -467,3 +465,150 @@ def test_resume_after_a_torn_last_record_matches_an_uninterrupted_run(tmp_path):
     lines = records.read_bytes().split(b"\n")
     assert lines[-1] == b"" and len(lines) == 5
     assert sorted(json.loads(line)["cell"] for line in lines[:-1]) == sorted(RunStore(full).records)
+
+
+def _recording_shares(monkeypatch) -> list:
+    shares = []
+
+    class Recording(experiments.InputShare):
+        def __init__(self, cell_keys):
+            super().__init__(cell_keys)
+            shares.append(self)
+
+    monkeypatch.setattr(experiments, "InputShare", Recording)
+    return shares
+
+
+def test_compare_runs_one_forward_pass_per_distinct_text_and_empties_its_share(tmp_path, monkeypatch):
+    from embreg import featurize, tasks
+    from embreg.embedders import SyntheticTransformer
+
+    forwards = []
+    original = SyntheticTransformer._forward
+    monkeypatch.setattr(
+        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+    )
+    shares = _recording_shares(monkeypatch)
+    cfg = _cfg(
+        functions=["sphere", "ellipsoidal", "rastrigin", "rosenbrock"],
+        dofs=[10],
+        embedders=[{"kind": "traditional"}, {"kind": "synthetic_transformer"}],
+        n_samples=60,
+        seeds=[0, 1],
+    )
+    exp_dir = experiments.run_comparison(cfg, tmp_path)
+    assert json.loads((exp_dir / "status.json").read_text())["ok"] == 16
+    task = tasks.synthetic_task("sphere", 10)
+    distinct = {
+        featurize.serialize(task, x, featurize.StringFormat())
+        for seed in cfg.seeds
+        for x in tasks.sample_uniform(task, 60, seed).xs
+    }
+    # 4 functions x 2 seeds x 60 texts; one model per input family.
+    assert len(forwards) == len(distinct) == 120
+    assert len(shares) == 1 and len(shares[0]) == 0 and not shares[0]._uses
+
+
+@pytest.mark.parametrize("stage", ["build", "embed"])
+def test_failing_input_is_not_kept_and_each_cell_records_its_error(tmp_path, monkeypatch, stage):
+    from embreg import embedders
+
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise RuntimeError(f"{stage} failed")
+
+    if stage == "build":
+        original = experiments.build_embedder
+        monkeypatch.setattr(
+            experiments,
+            "build_embedder",
+            lambda spec, task, fmt: fail() if spec["kind"] == "vocab_pool" else original(spec, task, fmt),
+        )
+    else:
+        original = embedders.Embedder.embed
+        monkeypatch.setattr(
+            embedders.Embedder, "embed", lambda self, xs: fail() if self.kind == "vocab_pool" else original(self, xs)
+        )
+    shares = _recording_shares(monkeypatch)
+    cfg = _cfg(
+        functions=["sphere", "rastrigin"],
+        embedders=[{"kind": "traditional"}, {"kind": "vocab_pool", "width": 16}],
+        seeds=[0],
+    )
+    exp_dir = experiments.run_comparison(cfg, tmp_path)
+    records = RunStore(exp_dir).records
+    failed = {k: r for k, r in records.items() if r["status"] != "ok"}
+    assert sorted(failed) == sorted(k for k in records if "slot=1" in k)
+    assert {r["error"] for r in failed.values()} == {f"RuntimeError: {stage} failed"}
+    assert len(calls) == 2  # the second cell tried again instead of reusing a failure
+    assert len(shares[0]) == 0
+
+
+def test_functions_of_one_input_set_get_equal_matrices(monkeypatch):
+    seen = []
+    original = experiments.train_and_evaluate
+    monkeypatch.setattr(
+        experiments, "train_and_evaluate", lambda *a: seen.append(a[:3]) or original(*a)
+    )
+    cfg = _cfg(functions=["sphere", "rastrigin"], embedders=[{"kind": "vocab_pool", "width": 16}], seeds=[3])
+    cells = [kw for _, kw in experiments._standard_cells(cfg, experiments.enumerate_tasks(cfg))]
+    share = experiments.InputShare(
+        experiments.InputShare.keys(kw["instance"], kw["slot"], kw["fmt"], kw["seed"], kw["n_samples"])
+        for kw in cells
+    )
+    shared = [experiments.run_cell(**kw, share=share) for kw in cells]
+    alone = [experiments.run_cell(**kw) for kw in cells]
+    (sphere, rastrigin), (sphere_alone, rastrigin_alone) = seen[:2], seen[2:]
+    for part in range(3):
+        m, y = sphere[part]
+        assert rastrigin[part][0] is m  # one read-only matrix serves both functions
+        assert not m.values.flags.writeable
+        assert not np.array_equal(rastrigin[part][1], y)
+        for got, want in ((sphere, sphere_alone), (rastrigin, rastrigin_alone)):
+            assert np.array_equal(got[part][0].values, want[part][0].values)
+            assert np.array_equal(got[part][1], want[part][1])
+    for a, b in zip(shared, alone):
+        assert {k: v for k, v in a.items() if k not in ("elapsed_s", "ts")} == {
+            k: v for k, v in b.items() if k not in ("elapsed_s", "ts")
+        }
+    assert len(share) == 0
+
+
+def test_parallel_run_computes_each_input_once_and_writes_sequential_records(tmp_path, monkeypatch):
+    import sys
+
+    from embreg import embedders
+
+    samples, embeds = [], []
+    sample, embed = experiments.sample_uniform, embedders.Embedder.embed
+    monkeypatch.setattr(experiments, "sample_uniform", lambda *a: samples.append(a) or sample(*a))
+    monkeypatch.setattr(embedders.Embedder, "embed", lambda self, xs: embeds.append(self) or embed(self, xs))
+    spec = {"kind": "synthetic_transformer", "layers": 1, "model_dim": 16, "heads": 2, "ff_dim": 32}
+    cfg = _cfg(
+        functions=["sphere", "rastrigin"],
+        dofs=[2, 3],
+        embedders=[{"kind": "vocab_pool", "width": 16}, spec],
+        sizes=[20, 40],
+        seeds=[0, 1],
+    )
+    seq = experiments.run_data_scaling(cfg, tmp_path / "seq", workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = experiments.run_data_scaling(cfg, tmp_path / "par", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    # Per run: 16 (instance, n, seed) samples; 3 embeds per (slot, dof, n, seed).
+    assert len(samples) == 2 * 16
+    assert len(embeds) == 2 * 3 * 16
+
+    def records(exp_dir):
+        return {
+            cell: {k: v for k, v in rec.items() if k not in ("elapsed_s", "ts")}
+            for cell, rec in RunStore(exp_dir).records.items()
+        }
+
+    assert len(records(seq)) == 32
+    assert records(par) == records(seq)

@@ -172,6 +172,36 @@ def test_timeout_and_rate_limit_are_retried(mock_service, tmp_path, status):
     assert mock_service.request_count == 3
 
 
+@pytest.mark.parametrize(
+    "status, header, delays",
+    [
+        (429, "0.25", [0.25, 0.25]),  # the header's seconds replace the backoff
+        (503, "3", [3.0, 3.0]),
+        (429, "1000", [4.0, 4.0]),  # capped at backoff * 2 ** (max_attempts - 2)
+        (429, None, [1.0, 2.0]),  # missing: exponential backoff
+        (503, "soon", [1.0, 2.0]),  # malformed
+        (503, "Wed, 21 Oct 2026 07:28:00 GMT", [1.0, 2.0]),  # a date, not seconds
+        (429, "-3", [1.0, 2.0]),
+        (429, "nan", [1.0, 2.0]),
+        (500, "0.25", [1.0, 2.0]),  # other statuses ignore the header
+    ],
+)
+def test_retry_after_sets_the_retry_delay(mock_service, tmp_path, monkeypatch, status, header, delays):
+    from embreg import remote
+
+    slept = []
+    monkeypatch.setattr(remote.time, "sleep", slept.append)
+    mock_service.fail_next = 2
+    mock_service.fail_status = status
+    mock_service.retry_after = header
+    client = RemoteEmbedder(
+        mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl", max_attempts=4, backoff=1.0
+    )
+    assert client.embed_texts(["x"]).rows == 1
+    assert slept == delays
+    assert mock_service.request_count == 3
+
+
 def test_clients_of_one_file_share_one_cache(mock_service, tmp_path):
     cache = tmp_path / "c.jsonl"
     first = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
