@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import click
@@ -66,54 +67,19 @@ def main(ctx, config_path, seed, out_dir, force, workers):
     )
 
 
-def _experiment_cfg(ctx) -> experiments.ExperimentConfig:
-    path = ctx.obj["config_path"]
-    if not path:
+def _run_experiment(kind: str) -> None:
+    ctx = click.get_current_context()
+    if not ctx.obj["config_path"]:
         raise click.UsageError("this subcommand requires --config")
-    return experiments.ExperimentConfig.from_file(path)
-
-
-def _run_experiment(ctx, runner):
-    cfg = _experiment_cfg(ctx)
-    exp_dir = runner(
-        cfg, ctx.obj["out"], force=ctx.obj["force"], workers=ctx.obj["workers"], echo=click.echo
+    cfg = experiments.ExperimentConfig.from_file(ctx.obj["config_path"])
+    exp_dir = experiments.run_experiment(
+        kind, cfg, ctx.obj["out"], force=ctx.obj["force"], workers=ctx.obj["workers"], echo=click.echo
     )
     click.echo(f"results in {exp_dir}")
 
 
-@main.command("sweep-dof")
-@click.pass_context
-def sweep_dof(ctx):
-    """Kendall-tau vs input dimension across functions and embedders."""
-    _run_experiment(ctx, experiments.run_dof_sweep)
-
-
-@main.command()
-@click.pass_context
-def compare(ctx):
-    """Pairwise embedder comparison with outperformance percentages."""
-    _run_experiment(ctx, experiments.run_comparison)
-
-
-@main.command("nlfd-corr")
-@click.pass_context
-def nlfd_corr(ctx):
-    """Correlate smoothness gaps (z-scores) with performance gaps."""
-    _run_experiment(ctx, experiments.run_nlfd_correlation)
-
-
-@main.command("scale-data")
-@click.pass_context
-def scale_data(ctx):
-    """Embedder performance gap as the training set grows."""
-    _run_experiment(ctx, experiments.run_data_scaling)
-
-
-@main.command()
-@click.pass_context
-def ablate(ctx):
-    """Backends x string formats over the same tasks."""
-    _run_experiment(ctx, experiments.run_ablation)
+for _kind, _experiment in experiments.EXPERIMENTS.items():
+    main.add_command(click.Command(_kind, callback=partial(_run_experiment, _kind), help=_experiment.help))
 
 
 @main.command()

@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class VocabTable:
     entries: np.ndarray
 
     @classmethod
-    def create(cls, width: int, seed: int, v: int = BYTE_VOCAB) -> "VocabTable":
+    def create(cls, width: int = 64, seed: int = 0, v: int = BYTE_VOCAB) -> "VocabTable":
         rng = np.random.default_rng(seed)
         entries = rng.standard_normal((v, width)) / math.sqrt(width)
         return cls(v=v, width=width, seed=seed, entries=entries)
@@ -275,8 +276,6 @@ def embed_hash_scrambled(texts: list[str], dim: int, seed: int = 0) -> Embedding
     while staying deterministic (the vector is seeded by a cryptographic hash
     of the text), so nearby inputs land nowhere near each other.
     """
-    if not texts:
-        raise ValueError("texts must be non-empty")
     rows = np.empty((len(texts), dim))
     for i, text in enumerate(texts):
         rng = np.random.default_rng(_hash_seed("scrambled", str(seed), text))
@@ -309,25 +308,71 @@ def embed_scrambled_permutation(
 
 
 class Embedder:
-    """A backend bound to a task: embeds lists of assignments."""
+    """A backend bound to a task: embeds lists of assignments.
 
-    def __init__(self, kind: str, provenance: str, fn):
+    ``provenance`` is that of every matrix ``embed`` returns. A backend object
+    that owns one passes it in; for a stateless ``embed_*`` function it is
+    read off an empty batch, so each provenance string is built in one place.
+    """
+
+    def __init__(self, kind: str, fn, provenance: str | None = None):
         self.kind = kind
-        self.provenance = provenance
         self._fn = fn
+        self.provenance = fn([]).provenance if provenance is None else provenance
 
     def embed(self, xs: list[dict]) -> EmbeddingMatrix:
         return self._fn(xs)
 
 
-#: Config keys that each embedder kind accepts besides ``kind``.
-SPEC_KEYS = {
-    "traditional": (),
-    "vocab_pool": ("width", "seed"),
-    "synthetic_transformer": ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
-    "scrambled": ("dim", "seed"),
-    "scrambled_perm": ("seed",),
-    "remote": ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
+def _vocab_pool(task, texts, **options):
+    table = VocabTable.create(**options)
+    return lambda xs: embed_vocab_pool(texts(xs), table), table.provenance
+
+
+def _synthetic_transformer(task, texts, table_seed=None, **options):
+    cfg = SyntheticTransformerConfig(**options)
+    table = VocabTable.create(cfg.model_dim, cfg.seed if table_seed is None else table_seed)
+    model = SyntheticTransformer(cfg, table)
+    return lambda xs: model.embed(texts(xs)), model.provenance
+
+
+def _scrambled(task, texts, dim=None, **options):
+    dim = dim or d_trad(task)
+    return lambda xs: embed_hash_scrambled(texts(xs), dim, **options), None
+
+
+def _remote(task, texts, cache=None, **options):
+    from .remote import RemoteEmbedder  # looked up per build: remote imports this module
+
+    client = RemoteEmbedder(cache_path=cache, **options)
+    return lambda xs: client.embed_texts(texts(xs)), client.provenance
+
+
+@dataclass(frozen=True)
+class Backend:
+    """An embedder kind: the spec keys it takes besides ``kind``, and
+    ``build(task, texts, **keys) -> (embed, provenance or None)``, where
+    ``texts(xs)`` serializes assignments in the run's string format. Key
+    defaults live in the function, config or constructor the build calls."""
+
+    keys: tuple[str, ...]
+    build: Callable
+
+
+#: Every embedder kind, keyed by the spec's ``kind``.
+BACKENDS = {
+    "traditional": Backend((), lambda task, texts: (partial(embed_traditional, task), None)),
+    "vocab_pool": Backend(("width", "seed"), _vocab_pool),
+    "synthetic_transformer": Backend(
+        ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"), _synthetic_transformer
+    ),
+    "scrambled": Backend(("dim", "seed"), _scrambled),
+    "scrambled_perm": Backend(
+        ("seed",), lambda task, texts, **options: (partial(embed_scrambled_permutation, task, **options), None)
+    ),
+    "remote": Backend(
+        ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"), _remote
+    ),
 }
 
 
@@ -335,82 +380,24 @@ def check_spec(spec: dict) -> None:
     """Raise ValueError unless ``spec`` names a known kind and only its keys."""
     if not isinstance(spec, dict):
         raise ValueError(f"an embedder spec must be a JSON object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in SPEC_KEYS:
-        raise ValueError(f"unknown embedder kind {kind!r} (known: {', '.join(SPEC_KEYS)})")
-    unknown = set(spec) - {"kind", *SPEC_KEYS[kind]}
+    backend = BACKENDS.get(spec.get("kind"))
+    if backend is None:
+        raise ValueError(f"unknown embedder kind {spec.get('kind')!r} (known: {', '.join(BACKENDS)})")
+    unknown = set(spec) - {"kind", *backend.keys}
     if unknown:
-        allowed = ", ".join(SPEC_KEYS[kind]) or "none"
-        raise ValueError(
-            f"unknown keys for embedder kind {kind!r}: {sorted(unknown)} (allowed: {allowed})"
-        )
+        allowed = ", ".join(backend.keys) or "none"
+        raise ValueError(f"unknown keys for embedder kind {spec['kind']!r}: {sorted(unknown)} (allowed: {allowed})")
 
 
-def build_embedder(
-    spec: dict, task: RegressionTask, fmt: StringFormat | None = None
-) -> Embedder:
+def build_embedder(spec: dict, task: RegressionTask, fmt: StringFormat | None = None) -> Embedder:
     """Construct an embedder from a config dict with a ``kind`` field.
 
-    Kinds and their keys are listed in :data:`SPEC_KEYS`; any other key is
+    Kinds and their keys are listed in :data:`BACKENDS`; any other key is
     rejected. String-based kinds serialize inputs with ``fmt`` before
     embedding.
     """
     check_spec(spec)
     fmt = fmt or StringFormat()
-    kind = spec["kind"]
-
-    def texts_of(xs: list[dict]) -> list[str]:
-        return [serialize(task, x, fmt) for x in xs]
-
-    if kind == "traditional":
-        em = lambda xs: embed_traditional(task, xs)
-        return Embedder(kind, "traditional:" + config_hash({"d": d_trad(task)}), em)
-
-    if kind == "vocab_pool":
-        table = VocabTable.create(width=spec.get("width", 64), seed=spec.get("seed", 0))
-        return Embedder(kind, table.provenance, lambda xs: embed_vocab_pool(texts_of(xs), table))
-
-    if kind == "synthetic_transformer":
-        cfg = SyntheticTransformerConfig(
-            layers=spec.get("layers", 2),
-            model_dim=spec.get("model_dim", 64),
-            heads=spec.get("heads", 4),
-            ff_dim=spec.get("ff_dim", 256),
-            seed=spec.get("seed", 0),
-        )
-        table = VocabTable.create(width=cfg.model_dim, seed=spec.get("table_seed", cfg.seed))
-        model = SyntheticTransformer(cfg, table)
-        return Embedder(kind, model.provenance, lambda xs: model.embed(texts_of(xs)))
-
-    if kind == "scrambled":
-        dim = spec.get("dim") or d_trad(task)
-        seed = spec.get("seed", 0)
-        return Embedder(
-            kind,
-            "scrambled:" + config_hash({"dim": dim, "seed": seed}),
-            lambda xs: embed_hash_scrambled(texts_of(xs), dim=dim, seed=seed),
-        )
-
-    if kind == "scrambled_perm":
-        seed = spec.get("seed", 0)
-        return Embedder(
-            kind,
-            "scrambled_perm:" + config_hash({"dim": d_trad(task), "seed": seed}),
-            lambda xs: embed_scrambled_permutation(task, xs, seed=seed),
-        )
-
-    if kind == "remote":
-        from .remote import RemoteEmbedder
-
-        client = RemoteEmbedder(
-            endpoint=spec["endpoint"],
-            model=spec["model"],
-            cache_path=spec.get("cache"),
-            batch_size=spec.get("batch_size", 32),
-            max_attempts=spec.get("max_attempts", 3),
-            backoff=spec.get("backoff", 0.5),
-            max_inflight=spec.get("max_inflight", 4),
-        )
-        return Embedder(kind, client.provenance, lambda xs: client.embed_texts(texts_of(xs)))
-
-    raise ValueError(f"unknown embedder kind {kind!r}")
+    options = {k: v for k, v in spec.items() if k != "kind"}
+    texts = lambda xs: [serialize(task, x, fmt) for x in xs]
+    return Embedder(spec["kind"], *BACKENDS[spec["kind"]].build(task, texts, **options))

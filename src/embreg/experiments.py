@@ -1,7 +1,8 @@
 """Experiment orchestration: seeded, resumable benchmark runs.
 
 Every experiment is a grid of independent cells (task x embedder x seed, plus
-extra axes per experiment type). Cell results append to ``records.jsonl``
+an extra axis for some kinds), run by :func:`run_experiment` from its row of
+:data:`EXPERIMENTS`. Cell results append to ``records.jsonl``
 inside an output directory keyed by the config hash; re-running skips cells
 that already completed, so an interrupted run resumes to the same final state.
 Summaries are recomputed from the records on every run and are written as
@@ -14,13 +15,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -28,10 +30,10 @@ import numpy as np
 
 from . import bbob, metrics
 from .embedders import Embedder, build_embedder, check_spec
-from .featurize import StringFormat
+from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
-from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings
+from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings, zscore
 from .tasks import (
     RegressionTask,
     ingest_offline,
@@ -90,19 +92,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def canonical_json(self) -> str:
-        d = {
-            "functions": list(self.functions),
-            "dofs": list(self.dofs),
-            "offline": list(self.offline),
-            "embedders": list(self.embedders),
-            "n_samples": self.n_samples,
-            "seeds": list(self.seeds),
-            "string_format": self.string_format,
-            "train": self.train,
-            "sizes": list(self.sizes),
-            "bins": self.bins,
-        }
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
@@ -344,14 +334,7 @@ def run_cell(
     }
 
 
-def _execute_cells(
-    store: RunStore,
-    cells: list[tuple[str, dict]],
-    runner,
-    force: bool,
-    workers: int,
-    echo=None,
-) -> None:
+def _execute_cells(store: RunStore, cells: list[tuple[str, dict]], force: bool, workers: int, echo=None) -> None:
     todo = [(key, spec) for key, spec in cells if force or not store.completed(key)]
     if echo:
         echo(f"{len(cells)} cells total, {len(todo)} to run")
@@ -362,21 +345,14 @@ def _execute_cells(
     def run_one(item):
         key, kwargs = item
         try:
-            rec = runner(**kwargs, share=share)
+            rec = run_cell(**kwargs, share=share)
         except Exception as e:  # cell failures must not sink the sweep
             rec = {"status": "error", "error": f"{type(e).__name__}: {e}", "ts": time.strftime("%Y-%m-%dT%H:%M:%S")}
         rec["cell"] = key
         return rec
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(run_one, todo):
-                store.append(rec)
-                if echo:
-                    echo(f"  {rec['cell']}: {rec['status']}")
-    else:
-        for item in todo:
-            rec = run_one(item)
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # one worker runs cells in this thread
+        for rec in (pool.map if workers > 1 else map)(run_one, todo):
             store.append(rec)
             if echo:
                 echo(f"  {rec['cell']}: {rec['status']}")
@@ -395,25 +371,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([render(v) for v in row])
 
 
-def _write_status(exp_dir: Path, store: RunStore, echo=None) -> None:
-    failed = store.failed_records()
-    status = {
-        "ok": len(store.ok_records()),
-        "failed": len(failed),
-        "failed_cells": sorted(r["cell"] for r in failed),
-    }
-    (exp_dir / "status.json").write_text(json.dumps(status, indent=2) + "\n", encoding="utf-8")
-    if failed and echo:
-        echo(f"warning: {len(failed)} cells failed; see status.json")
-
-
-def _prepare_dir(out_root, name: str, cfg: ExperimentConfig) -> tuple[Path, RunStore]:
-    exp_dir = Path(out_root) / f"{name}-{cfg.config_hash()}"
-    exp_dir.mkdir(parents=True, exist_ok=True)
-    (exp_dir / "config.json").write_text(cfg.canonical_json() + "\n", encoding="utf-8")
-    return exp_dir, RunStore(exp_dir)
-
-
 def _mean(values) -> float:
     return float(np.mean(np.asarray(list(values), dtype=np.float64)))
 
@@ -423,10 +380,6 @@ def _group(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, list[dict]
     for r in records:
         grouped.setdefault(tuple(r[k] for k in keys), []).append(r)
     return grouped
-
-
-# ---------------------------------------------------------------------------
-# Experiment runners
 
 
 def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=None):
@@ -460,70 +413,26 @@ def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=No
     ]
 
 
-def run_dof_sweep(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Kendall-tau versus input dimension for every (function, embedder)."""
-    instances = enumerate_tasks(cfg, synthetic_only=True)
-    exp_dir, store = _prepare_dir(out_root, "sweep-dof", cfg)
-    _execute_cells(store, _standard_cells(cfg, instances), run_cell, force, workers, echo)
-    summarize_dof_sweep(exp_dir, store)
-    _write_status(exp_dir, store, echo)
-    return exp_dir
+def _write_cells(path: Path, records: list[dict], task_column: str) -> None:
+    """One row per cell: its task, embedder slot and kind, seed and Kendall tau."""
+    rows = sorted([r["family"], r["dof"], r["slot"], r["embedder_kind"], r["seed"], r["kendall_tau"]] for r in records)
+    _write_csv(path, [task_column, "dof", "embedder_slot", "embedder_kind", "seed", "kendall_tau"], rows)
 
 
 def summarize_dof_sweep(exp_dir: Path, store: RunStore) -> None:
     records = store.ok_records()
-    cell_rows = sorted(
-        [r["family"], r["dof"], r["slot"], r["embedder_kind"], r["seed"], r["kendall_tau"]]
-        for r in records
-    )
-    _write_csv(
-        exp_dir / "dof_sweep_cells.csv",
-        ["function", "dof", "embedder_slot", "embedder_kind", "seed", "kendall_tau"],
-        cell_rows,
-    )
-    rows = []
-    for (family, dof, slot), group in sorted(
-        _group(records, ("family", "dof", "slot")).items()
-    ):
-        rows.append(
-            [
-                family,
-                dof,
-                slot,
-                group[0]["embedder_kind"],
-                len(group),
-                _mean(r["kendall_tau"] for r in group),
-            ]
-        )
-    _write_csv(
-        exp_dir / "dof_sweep_summary.csv",
-        ["function", "dof", "embedder_slot", "embedder_kind", "runs", "mean_kendall_tau"],
-        rows,
-    )
-
-
-def run_comparison(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Per-task pairwise embedder comparison with outperformance percentages."""
-    if len(cfg.embedders) < 2:
-        raise ValueError("comparison needs at least 2 embedder specs")
-    instances = enumerate_tasks(cfg)
-    exp_dir, store = _prepare_dir(out_root, "compare", cfg)
-    _execute_cells(store, _standard_cells(cfg, instances), run_cell, force, workers, echo)
-    summarize_comparison(exp_dir, store)
-    _write_status(exp_dir, store, echo)
-    return exp_dir
+    _write_cells(exp_dir / "dof_sweep_cells.csv", records, "function")
+    rows = [
+        [family, dof, slot, group[0]["embedder_kind"], len(group), _mean(r["kendall_tau"] for r in group)]
+        for (family, dof, slot), group in sorted(_group(records, ("family", "dof", "slot")).items())
+    ]
+    header = ["function", "dof", "embedder_slot", "embedder_kind", "runs", "mean_kendall_tau"]
+    _write_csv(exp_dir / "dof_sweep_summary.csv", header, rows)
 
 
 def summarize_comparison(exp_dir: Path, store: RunStore) -> None:
     records = store.ok_records()
-    _write_csv(
-        exp_dir / "comparison_cells.csv",
-        ["family", "dof", "embedder_slot", "embedder_kind", "seed", "kendall_tau"],
-        sorted(
-            [r["family"], r["dof"], r["slot"], r["embedder_kind"], r["seed"], r["kendall_tau"]]
-            for r in records
-        ),
-    )
+    _write_cells(exp_dir / "comparison_cells.csv", records, "family")
     # Mean tau per task instance, keyed by embedder slot.
     per_task: dict[tuple, dict[int, float]] = {}
     kinds: dict[int, str] = {}
@@ -531,133 +440,54 @@ def summarize_comparison(exp_dir: Path, store: RunStore) -> None:
         per_task.setdefault((family, dof), {})[slot] = _mean(r["kendall_tau"] for r in group)
         kinds[slot] = group[0]["embedder_kind"]
 
-    slots = sorted(kinds)
     rows = []
-    families = sorted({family for family, _ in per_task})
-    for family in families:
-        task_keys = [k for k in per_task if k[0] == family]
-        for i, slot_a in enumerate(slots):
-            for slot_b in slots[i + 1 :]:
-                paired = [
-                    (per_task[k][slot_a], per_task[k][slot_b])
-                    for k in sorted(task_keys)
-                    if slot_a in per_task[k] and slot_b in per_task[k]
-                ]
-                if not paired:
-                    continue
-                a_scores = [p[0] for p in paired]
-                b_scores = [p[1] for p in paired]
-                rows.append(
-                    [
-                        family,
-                        slot_a,
-                        kinds[slot_a],
-                        slot_b,
-                        kinds[slot_b],
-                        len(paired),
-                        _mean(a_scores),
-                        _mean(b_scores),
-                        metrics.outperformance_rate(a_scores, b_scores),
-                        metrics.outperformance_rate(b_scores, a_scores),
-                    ]
-                )
-    _write_csv(
-        exp_dir / "comparison_summary.csv",
-        [
-            "family",
-            "slot_a",
-            "kind_a",
-            "slot_b",
-            "kind_b",
-            "n_tasks",
-            "mean_kendall_a",
-            "mean_kendall_b",
-            "pct_a_outperforms",
-            "pct_b_outperforms",
-        ],
-        rows,
-    )
+    for family in sorted({family for family, _ in per_task}):
+        task_means = [per_task[k] for k in sorted(per_task) if k[0] == family]
+        for slot_a, slot_b in combinations(sorted(kinds), 2):
+            paired = [(m[slot_a], m[slot_b]) for m in task_means if slot_a in m and slot_b in m]
+            if not paired:
+                continue
+            a_scores, b_scores = [p[0] for p in paired], [p[1] for p in paired]
+            rows.append([
+                family, slot_a, kinds[slot_a], slot_b, kinds[slot_b], len(paired), _mean(a_scores), _mean(b_scores),
+                metrics.outperformance_rate(a_scores, b_scores), metrics.outperformance_rate(b_scores, a_scores),
+            ])
+    header = ["family", "slot_a", "kind_a", "slot_b", "kind_b", "n_tasks", "mean_kendall_a", "mean_kendall_b",
+              "pct_a_outperforms", "pct_b_outperforms"]
+    _write_csv(exp_dir / "comparison_summary.csv", header, rows)
 
 
-def run_nlfd_correlation(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Smoothness gap (z-score) versus performance gap across synthetic tasks.
-
-    The first embedder spec is the reference; positive z and positive gap both
-    favor the second spec.
-    """
-    if len(cfg.embedders) != 2:
-        raise ValueError("smoothness correlation needs exactly 2 embedder specs")
-    instances = enumerate_tasks(cfg, synthetic_only=True)
-    if len(instances) < 3:
-        raise ValueError("need at least 3 tasks for a correlation")
-    exp_dir, store = _prepare_dir(out_root, "nlfd-corr", cfg)
-    _execute_cells(store, _standard_cells(cfg, instances), run_cell, force, workers, echo)
-    summarize_nlfd_correlation(exp_dir, store, cfg)
-    _write_status(exp_dir, store, echo)
-    return exp_dir
-
-
-def _zscore_from_records(rec_a: dict, rec_b: dict) -> float:
-    denom = float(np.sqrt(rec_a["nlfd_sigma"] ** 2 + rec_b["nlfd_sigma"] ** 2))
-    return (rec_a["nlfd_mu"] - rec_b["nlfd_mu"]) / denom
-
-
-def summarize_nlfd_correlation(exp_dir: Path, store: RunStore, cfg: ExperimentConfig) -> None:
+def summarize_nlfd_correlation(exp_dir: Path, store: RunStore) -> None:
     records = store.ok_records()
     by_cell = _group(records, ("family", "dof", "seed", "slot"))
     scatter = []
-    for (family, dof), _ in sorted(_group(records, ("family", "dof")).items()):
+    for family, dof in sorted(_group(records, ("family", "dof"))):
         zs, gaps = [], []
         for seed in sorted({r["seed"] for r in records}):
             rec_a = by_cell.get((family, dof, seed, 0))
             rec_b = by_cell.get((family, dof, seed, 1))
             if not rec_a or not rec_b:
                 continue
-            zs.append(_zscore_from_records(rec_a[0], rec_b[0]))
-            gaps.append(rec_b[0]["kendall_tau"] - rec_a[0]["kendall_tau"])
+            a, b = rec_a[0], rec_b[0]
+            zs.append(zscore((a["nlfd_mu"], a["nlfd_sigma"]), (b["nlfd_mu"], b["nlfd_sigma"])))
+            gaps.append(b["kendall_tau"] - a["kendall_tau"])
         if zs:
             scatter.append([family, dof, _mean(zs), _mean(gaps)])
-    _write_csv(
-        exp_dir / "nlfd_scatter.csv", ["function", "dof", "zscore", "kendall_gap"], scatter
-    )
+    _write_csv(exp_dir / "nlfd_scatter.csv", ["function", "dof", "zscore", "kendall_gap"], scatter)
     if len(scatter) >= 3:
         zs = [row[2] for row in scatter]
         gaps = [row[3] for row in scatter]
-        _write_csv(
-            exp_dir / "nlfd_correlations.csv",
-            ["n_tasks", "kendall_tau", "spearman", "pearson"],
-            [
-                [
-                    len(scatter),
-                    metrics.kendall_tau(zs, gaps),
-                    metrics.spearman(zs, gaps),
-                    metrics.pearson(zs, gaps),
-                ]
-            ],
-        )
+        row = [len(scatter), metrics.kendall_tau(zs, gaps), metrics.spearman(zs, gaps), metrics.pearson(zs, gaps)]
+        _write_csv(exp_dir / "nlfd_correlations.csv", ["n_tasks", "kendall_tau", "spearman", "pearson"], [row])
 
 
-def run_data_scaling(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Performance gap between two embedders as training data grows."""
-    if len(cfg.embedders) != 2:
-        raise ValueError("data scaling needs exactly 2 embedder specs")
-    instances = enumerate_tasks(cfg)
-    exp_dir, store = _prepare_dir(out_root, "scale-data", cfg)
-    cells = _standard_cells(cfg, instances, sizes=list(cfg.sizes))
-    _execute_cells(store, cells, run_cell, force, workers, echo)
-    summarize_data_scaling(exp_dir, store, cfg)
-    _write_status(exp_dir, store, echo)
-    return exp_dir
-
-
-def summarize_data_scaling(exp_dir: Path, store: RunStore, cfg: ExperimentConfig) -> None:
+def summarize_data_scaling(exp_dir: Path, store: RunStore) -> None:
     records = store.ok_records()
     by_cell = _group(records, ("family", "dof", "seed", "n", "slot"))
-
     rows = []
     for size in sorted({r["n"] for r in records}):
         gaps = []
-        for (family, dof) in sorted(_group(records, ("family", "dof")).keys()):
+        for family, dof in sorted(_group(records, ("family", "dof"))):
             for seed in sorted({r["seed"] for r in records}):
                 rec_a = by_cell.get((family, dof, seed, size, 0))
                 rec_b = by_cell.get((family, dof, seed, size, 1))
@@ -667,84 +497,130 @@ def summarize_data_scaling(exp_dir: Path, store: RunStore, cfg: ExperimentConfig
             continue
         arr = np.asarray(gaps, dtype=np.float64)
         mean, std = float(arr.mean()), float(arr.std())
-        row = [size, len(gaps), mean, std]
-        for band in GAP_BANDS:
-            row.extend([mean - band * std, mean + band * std])
-        rows.append(row)
-    header = ["size", "records", "mean_gap", "std_gap"]
-    for band in GAP_BANDS:
-        header.extend([f"lo_{band}", f"hi_{band}"])
+        bounds = [bound for band in GAP_BANDS for bound in (mean - band * std, mean + band * std)]
+        rows.append([size, len(gaps), mean, std, *bounds])
+    header = ["size", "records", "mean_gap", "std_gap", *(f"{e}_{band}" for band in GAP_BANDS for e in ("lo", "hi"))]
     _write_csv(exp_dir / "data_scaling_summary.csv", header, rows)
 
 
-def run_ablation(cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Same tasks across embedder backends and string formats.
-
-    The first embedder spec under the first format is the baseline that
-    deltas are reported against.
-    """
-    instances = enumerate_tasks(cfg)
-    exp_dir, store = _prepare_dir(out_root, "ablate", cfg)
-    cells = _standard_cells(cfg, instances, variants=["full_dict", "values_only"])
-    _execute_cells(store, cells, run_cell, force, workers, echo)
-    summarize_ablation(exp_dir, store, cfg)
-    _write_status(exp_dir, store, echo)
-    return exp_dir
-
-
-def summarize_ablation(exp_dir: Path, store: RunStore, cfg: ExperimentConfig) -> None:
-    records = store.ok_records()
-    grouped = _group(records, ("family", "dof", "slot", "fmt"))
+def summarize_ablation(exp_dir: Path, store: RunStore) -> None:
+    grouped = _group(store.ok_records(), ("family", "dof", "slot", "fmt"))
     means = {key: _mean(r["kendall_tau"] for r in group) for key, group in grouped.items()}
     rows = []
     for (family, dof, slot, fmt_variant), mean_tau in sorted(means.items()):
-        base = means.get((family, dof, 0, "full_dict"))
+        base = means.get((family, dof, 0, FULL_DICT))
         delta = mean_tau - base if base is not None else float("nan")
-        kind = grouped[(family, dof, slot, fmt_variant)][0]["embedder_kind"]
-        rows.append(
-            [family, dof, slot, kind, fmt_variant, len(grouped[(family, dof, slot, fmt_variant)]), mean_tau, delta]
-        )
-    _write_csv(
-        exp_dir / "ablation_summary.csv",
-        [
-            "family",
-            "dof",
-            "embedder_slot",
-            "embedder_kind",
-            "string_format",
-            "runs",
-            "mean_kendall_tau",
-            "delta_vs_baseline",
-        ],
-        rows,
-    )
+        group = grouped[(family, dof, slot, fmt_variant)]
+        rows.append([family, dof, slot, group[0]["embedder_kind"], fmt_variant, len(group), mean_tau, delta])
+    header = ["family", "dof", "embedder_slot", "embedder_kind", "string_format", "runs", "mean_kendall_tau",
+              "delta_vs_baseline"]
+    _write_csv(exp_dir / "ablation_summary.csv", header, rows)
 
 
-SUMMARIZERS = {
-    "sweep-dof": lambda d, s, c: summarize_dof_sweep(d, s),
-    "compare": lambda d, s, c: summarize_comparison(d, s),
-    "nlfd-corr": summarize_nlfd_correlation,
-    "scale-data": summarize_data_scaling,
-    "ablate": lambda d, s, c: summarize_ablation(d, s, c),
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: how the engine checks the config, which cells it
+    runs, and which summarizer turns the records into CSVs."""
+
+    help: str
+    summarizer: str  # a module function's name, looked up at call time so tracers can wrap it
+    embedders: tuple[int, float] = (0, math.inf)  # allowed number of embedder specs
+    synthetic_only: bool = False
+    min_tasks: int = 0
+    sizes: bool = False  # one cell per ``cfg.sizes`` entry instead of ``cfg.n_samples``
+    variants: tuple[str, ...] | None = None  # string-format variants to cross, else the config's
+
+
+#: Every experiment kind, keyed by its CLI command and directory prefix.
+EXPERIMENTS = {
+    "sweep-dof": Experiment(
+        "Kendall-tau vs input dimension across functions and embedders.",
+        "summarize_dof_sweep",
+        synthetic_only=True,
+    ),
+    "compare": Experiment(
+        "Pairwise embedder comparison with outperformance percentages.",
+        "summarize_comparison",
+        embedders=(2, math.inf),
+    ),
+    "nlfd-corr": Experiment(
+        "Correlate smoothness gaps (z-scores) with performance gaps.",
+        "summarize_nlfd_correlation",
+        embedders=(2, 2),
+        synthetic_only=True,
+        min_tasks=3,
+    ),
+    "scale-data": Experiment(
+        "Embedder performance gap as the training set grows.",
+        "summarize_data_scaling",
+        embedders=(2, 2),
+        synthetic_only=True,  # an offline table has one size, whatever ``sizes`` asks
+        sizes=True,
+    ),
+    "ablate": Experiment(
+        "Backends x string formats over the same tasks.",
+        "summarize_ablation",
+        variants=(FULL_DICT, VALUES_ONLY),
+    ),
 }
 
 
+def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
+    """Run the cells of one :data:`EXPERIMENTS` kind into
+    ``out_root/<kind>-<config hash>``, skipping completed ones unless
+    ``force``, then write its summaries and ``status.json``.
+
+    Config mistakes (embedder count, offline or too few tasks) raise
+    ValueError before any cell runs.
+    """
+    exp = EXPERIMENTS[kind]
+    low, high = exp.embedders
+    if not low <= len(cfg.embedders) <= high:
+        raise ValueError(f"{kind} needs {'exactly' if low == high else 'at least'} {low} embedder specs")
+    instances = enumerate_tasks(cfg, synthetic_only=exp.synthetic_only)
+    if len(instances) < exp.min_tasks:
+        raise ValueError(f"{kind} needs at least {exp.min_tasks} tasks")
+    store = RunStore(Path(out_root) / f"{kind}-{cfg.config_hash()}")
+    (store.directory / "config.json").write_text(cfg.canonical_json() + "\n", encoding="utf-8")
+    cells = _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
+    _execute_cells(store, cells, force, workers, echo)
+    _summarize(kind, store, echo)
+    return store.directory
+
+
+run_dof_sweep = partial(run_experiment, "sweep-dof")
+run_comparison = partial(run_experiment, "compare")
+run_nlfd_correlation = partial(run_experiment, "nlfd-corr")
+run_data_scaling = partial(run_experiment, "scale-data")
+run_ablation = partial(run_experiment, "ablate")
+
+
+def _summarize(kind: str, store: RunStore, echo=None) -> None:
+    """Write the summary CSVs and ``status.json`` of a run directory."""
+    globals()[EXPERIMENTS[kind].summarizer](store.directory, store)
+    failed = store.failed_records()
+    status = {
+        "ok": len(store.ok_records()),
+        "failed": len(failed),
+        "failed_cells": sorted(r["cell"] for r in failed),
+    }
+    (store.directory / "status.json").write_text(json.dumps(status, indent=2) + "\n", encoding="utf-8")
+    if failed and echo:
+        echo(f"warning: {len(failed)} cells failed; see status.json")
+
+
 def regenerate_summaries(exp_dir, clamp_kendall: bool = False) -> None:
-    """Rebuild summary CSVs for an existing experiment directory.
+    """Rebuild summary CSVs for an existing experiment directory, whose
+    ``<kind>-<config hash>`` name gives the experiment kind.
 
     ``clamp_kendall`` clips displayed kendall_tau values into [0, 1]; the
     stored records always keep the raw signed values.
     """
-    exp_dir = Path(exp_dir)
-    cfg = ExperimentConfig.from_dict(json.loads((exp_dir / "config.json").read_text()))
+    kind = Path(exp_dir).name.rsplit("-", 1)[0]
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"cannot infer experiment type from directory name {Path(exp_dir).name!r}")
     store = RunStore(exp_dir)
     if clamp_kendall:
-        for rec in store.records.values():
-            if rec.get("status") == "ok":
-                rec["kendall_tau"] = min(1.0, max(0.0, rec["kendall_tau"]))
-    name = exp_dir.name.rsplit("-", 1)[0]
-    summarizer = SUMMARIZERS.get(name)
-    if summarizer is None:
-        raise ValueError(f"cannot infer experiment type from directory name {exp_dir.name!r}")
-    summarizer(exp_dir, store, cfg)
-    _write_status(exp_dir, store)
+        for rec in store.ok_records():
+            rec["kendall_tau"] = min(1.0, max(0.0, rec["kendall_tau"]))
+    _summarize(kind, store)

@@ -96,50 +96,3 @@ def serialize(task: RegressionTask, x: dict, fmt: StringFormat | None = None) ->
         parts.append(rendered if fmt.variant == VALUES_ONLY else f"{p.name}:{rendered}")
     body = sep.join(parts)
     return f"[{body}]" if fmt.variant == VALUES_ONLY else f"{{{body}}}"
-
-
-def parse_full_dict(task: RegressionTask, s: str) -> dict:
-    """Invert :func:`serialize` for the full_dict variant.
-
-    Recovers values up to the precision they were rendered at.
-    """
-    s = s.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ValueError(f"not a full_dict string: {s!r}")
-    body = s[1:-1]
-    specs = {p.name: p for p in task.params}
-    x: dict = {}
-    for item in _split_top_level(body):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, raw = item.partition(":")
-        name = name.strip()
-        if name not in specs:
-            raise ValueError(f"unknown param {name!r} in {s!r}")
-        raw = raw.strip()
-        if specs[name].kind == CATEGORICAL:
-            if not (raw.startswith("'") and raw.endswith("'")):
-                raise ValueError(f"categorical value must be quoted: {raw!r}")
-            x[name] = raw[1:-1]
-        else:
-            x[name] = float(raw)
-    validate_assignment(task, x)
-    return x
-
-
-def _split_top_level(body: str) -> list[str]:
-    # Split on commas that are not inside single quotes.
-    items, buf, quoted = [], [], False
-    for ch in body:
-        if ch == "'":
-            quoted = not quoted
-            buf.append(ch)
-        elif ch == "," and not quoted:
-            items.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        items.append("".join(buf))
-    return items

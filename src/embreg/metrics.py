@@ -1,4 +1,4 @@
-"""Rank-correlation and error metrics, plus cross-task aggregation.
+"""Rank-correlation and error metrics, and paired outperformance rates.
 
 Kendall's tau uses the tie-corrected tau-b definition. Two routes are
 provided: an O(n log n) merge-sort path for production use and a direct
@@ -178,28 +178,6 @@ def bundle(y, yhat) -> MetricBundle:
         mse=mse(y, yhat),
         mae=mae(y, yhat),
     )
-
-
-METRIC_NAMES = ("kendall_tau", "spearman", "pearson", "mse", "mae")
-
-
-def aggregate(items: list[tuple[str, MetricBundle]]) -> dict:
-    """Summarize per-task bundles: mean, median, and 40th/60th percentiles.
-
-    Percentiles interpolate linearly between order statistics.
-    """
-    if not items:
-        raise ValueError("need at least one task")
-    out: dict[str, dict[str, float]] = {}
-    for name in METRIC_NAMES:
-        values = np.array([getattr(b, name) for _, b in items], dtype=np.float64)
-        out[name] = {
-            "mean": float(values.mean()),
-            "median": float(np.percentile(values, 50)),
-            "p40": float(np.percentile(values, 40)),
-            "p60": float(np.percentile(values, 60)),
-        }
-    return out
 
 
 def outperformance_rate(a_scores, b_scores) -> float:

@@ -156,13 +156,9 @@ class AdamState:
         return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), step=0)
 
 
-def adamw_step(model: MlpModel, grads: dict, lr: float, weight_decay: float, state: AdamState) -> None:
-    """One AdamW update in place: decoupled decay plus bias-corrected moments.
-
-    ``grads`` is an ``MlpModel`` buffer or any dict keyed like ``params()``.
-    """
-    packed = isinstance(grads, MlpModel)
-    g = grads.flat if packed else np.concatenate([np.ravel(grads[k]) for k in _PARAM_NAMES])
+def adamw_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float, state: AdamState) -> None:
+    """One AdamW update in place: decoupled decay plus bias-corrected moments."""
+    g = grads.flat
     if not np.isfinite(g).all():
         raise TrainingDivergedError("non-finite gradient")
     state.step += 1

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedders import EmbeddingMatrix
-from .tasks import CONTINUOUS, RegressionTask, validate_assignment
 
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
@@ -112,18 +111,23 @@ def nlfd_sample(m: EmbeddingMatrix, y) -> NlfdSample:
     return lipschitz_factors(normalize_embeddings(m), y)
 
 
-def nlfd_zscore(a: NlfdSample, b: NlfdSample) -> NlfdComparison:
-    """Standardized gap between two factor distributions: (mu_a - mu_b) over
-    the root of summed variances. Positive means b is smoother; swapping the
+def zscore(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Standardized gap between two (mu, sigma) pairs: (mu_a - mu_b) over the
+    root of summed variances. Positive means b is smoother; swapping the
     arguments negates the score."""
-    if a.n == 0 or b.n == 0:
-        raise ValueError("both samples must be non-empty")
-    denom = math.sqrt(a.sigma**2 + b.sigma**2)
+    (mu_a, sigma_a), (mu_b, sigma_b) = a, b
+    denom = math.sqrt(sigma_a**2 + sigma_b**2)
     if denom == 0.0:
         raise ValueError("z-score undefined: both samples have zero variance")
-    z = (a.mu - b.mu) / denom
+    return (mu_a - mu_b) / denom
+
+
+def nlfd_zscore(a: NlfdSample, b: NlfdSample) -> NlfdComparison:
+    """:func:`zscore` of two factor distributions, with their summaries."""
+    if a.n == 0 or b.n == 0:
+        raise ValueError("both samples must be non-empty")
     return NlfdComparison(
-        z=z, a_summary=(a.mu, a.sigma, a.n), b_summary=(b.mu, b.sigma, b.n)
+        z=zscore((a.mu, a.sigma), (b.mu, b.sigma)), a_summary=(a.mu, a.sigma, a.n), b_summary=(b.mu, b.sigma, b.n)
     )
 
 
@@ -140,57 +144,6 @@ def histogram(sample: NlfdSample, bins: int) -> list[tuple[tuple[float, float], 
     return [
         ((float(edges[k]), float(edges[k + 1])), int(counts[k])) for k in range(bins)
     ]
-
-
-def ball_probe_sample(
-    task: RegressionTask,
-    reference: dict,
-    radii: list[float],
-    per_radius: int,
-    seed: int,
-    max_rejections: int = 1000,
-) -> list[tuple[float, list[dict]]]:
-    """Sample points on spheres of the given radii around a reference input.
-
-    Directions are Gaussian-normalized; points falling outside the box are
-    rejected and redrawn, up to ``max_rejections`` tries per point. Used to
-    probe how a representation warps distances as one walks away from a
-    reference, without the distance-concentration of plain uniform sampling.
-    """
-    if any(p.kind != CONTINUOUS for p in task.params):
-        raise ValueError("ball probing requires a continuous-only task")
-    if list(radii) != sorted(radii) or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive and ascending")
-    if per_radius < 1:
-        raise ValueError("per_radius must be >= 1")
-    validate_assignment(task, reference)
-    center = np.array([reference[p.name] for p in task.params], dtype=np.float64)
-    lows = np.array([p.lo for p in task.params])
-    highs = np.array([p.hi for p in task.params])
-    rng = np.random.default_rng(seed)
-
-    out = []
-    for r in radii:
-        points = []
-        for _ in range(per_radius):
-            for _attempt in range(max_rejections):
-                direction = rng.standard_normal(task.dof)
-                norm = np.linalg.norm(direction)
-                if norm == 0.0:
-                    continue
-                candidate = center + direction / norm * r
-                if np.all(candidate >= lows) and np.all(candidate <= highs):
-                    points.append(
-                        {p.name: float(v) for p, v in zip(task.params, candidate)}
-                    )
-                    break
-            else:
-                raise ValueError(
-                    f"radius {r} infeasible from the reference: "
-                    f"{max_rejections} rejections exhausted"
-                )
-        out.append((float(r), points))
-    return out
 
 
 def pairwise_distance_export(m: EmbeddingMatrix, labels) -> list[tuple[int, int, float, float, float]]:

@@ -260,6 +260,7 @@ def test_build_embedder_kinds_and_provenance():
         out = emb.embed(ds.xs)
         assert out.rows == 5
         assert out.provenance.startswith(kind + ":")
+        assert emb.provenance == out.provenance
         provs.add(out.provenance)
     assert len(provs) == len(kinds)
     with pytest.raises(ValueError, match="unknown embedder"):

@@ -232,6 +232,25 @@ def test_data_scaling_summary(tmp_path):
     assert float(row[header.index("hi_1.0")]) == pytest.approx(mean + std)
 
 
+def test_data_scaling_rejects_offline_tasks_before_any_cell(tmp_path, monkeypatch):
+    # An offline table has one size: every size cell would train on all of it.
+    from embreg import tasks
+
+    task = tasks.synthetic_task("sphere", 2)
+    offline_task = tasks.RegressionTask(id="offline-sphere", params=task.params, source=tasks.TaskSource(kind="offline"))
+    tasks.save_task(offline_task, tmp_path / "task.json")
+    tasks.write_dataset_csv(tasks.sample_uniform(task, 60, seed=5), offline_task, tmp_path / "data.csv")
+    monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
+    cfg = _cfg(
+        offline=[{"task": str(tmp_path / "task.json"), "data": str(tmp_path / "data.csv")}],
+        embedders=[{"kind": "traditional"}, {"kind": "scrambled"}],
+        sizes=[20, 40],
+    )
+    with pytest.raises(ValueError, match="synthetic"):
+        experiments.run_data_scaling(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablation_grid_and_zero_delta_baseline(tmp_path):
     cfg = _cfg(
         embedders=[{"kind": "vocab_pool", "width": 16}, {"kind": "synthetic_transformer", "model_dim": 16, "ff_dim": 32, "heads": 2}],

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from embreg import featurize, tasks
 from embreg.featurize import StringFormat
@@ -106,29 +105,6 @@ def test_order_stability():
     seg1 = s1[1:-1].split(",")
     seg2 = s2[1:-1].split(",")
     assert [a == b for a, b in zip(seg1, seg2)] == [True, False, True]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    a=st.floats(-5, 5, allow_nan=False),
-    b=st.floats(0, 10, allow_nan=False),
-    c=st.sampled_from(["p", "q", "r"]),
-)
-def test_full_dict_round_trip(a, b, c):
-    task = _mixed_task()
-    x = {"a": a, "b": b, "c": c}
-    fmt = StringFormat(float_precision=12)
-    parsed = featurize.parse_full_dict(task, featurize.serialize(task, x, fmt))
-    assert parsed["c"] == c
-    assert parsed["a"] == pytest.approx(a, rel=1e-10, abs=1e-10)
-    assert parsed["b"] == pytest.approx(b, rel=1e-10, abs=1e-10)
-
-
-def test_round_trip_exact_at_full_precision():
-    task = tasks.synthetic_task("sphere", 3)
-    x = {"x0": 0.1234567890123, "x1": -4.999999, "x2": 3.0}
-    fmt = StringFormat(float_precision=17)
-    assert featurize.parse_full_dict(task, featurize.serialize(task, x, fmt)) == x
 
 
 def test_injectivity_at_render_precision():

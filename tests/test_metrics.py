@@ -121,23 +121,6 @@ def test_length_checks():
         metrics.kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def _bundle(k):
-    return metrics.MetricBundle(kendall_tau=k, spearman=k, pearson=k, mse=0.0, mae=0.0)
-
-
-def test_aggregate_single_task():
-    out = metrics.aggregate([("t", _bundle(0.7))])
-    assert out["kendall_tau"]["median"] == pytest.approx(0.7)
-
-
-def test_aggregate_percentiles_interpolate():
-    items = [(f"t{i}", _bundle(float(i))) for i in range(1, 6)]
-    out = metrics.aggregate(items)
-    assert out["kendall_tau"]["median"] == 3.0
-    assert out["kendall_tau"]["p40"] == pytest.approx(2.6)
-    assert out["kendall_tau"]["p60"] == pytest.approx(3.4)
-
-
 def test_outperformance_rate():
     assert metrics.outperformance_rate([1, 2, 3, 4], [0, 3, 1, 2]) == 75.0
     assert metrics.outperformance_rate([1.0, 1.0], [1.0, 1.0]) == 0.0

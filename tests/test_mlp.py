@@ -5,6 +5,7 @@ from embreg import mlp
 from embreg.metrics import kendall_tau
 from embreg.mlp import (
     AdamState,
+    MlpModel,
     TrainConfig,
     TrainingDivergedError,
     TrainingFailedError,
@@ -117,7 +118,7 @@ def test_adamw_zero_grad_is_fixed_point():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
     before = model.copy_weights()
-    zero = {k: np.zeros_like(v) for k, v in model.params().items()}
+    zero = MlpModel(model.input_dim, model.hidden)
     adamw_step(model, zero, lr=1e-3, weight_decay=0.0, state=state)
     for name, value in model.params().items():
         assert np.array_equal(value, before[name])
@@ -128,7 +129,7 @@ def test_adamw_decoupled_decay_shrinks():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
     before = model.copy_weights()
-    zero = {k: np.zeros_like(v) for k, v in model.params().items()}
+    zero = MlpModel(model.input_dim, model.hidden)
     adamw_step(model, zero, lr=1e-2, weight_decay=0.1, state=state)
     for name, value in model.params().items():
         assert np.allclose(value, before[name] * (1 - 1e-2 * 0.1))
@@ -137,7 +138,7 @@ def test_adamw_decoupled_decay_shrinks():
 def test_adamw_step_counter():
     model = init_model(2, seed=0)
     state = AdamState.init(model)
-    zero = {k: np.zeros_like(v) for k, v in model.params().items()}
+    zero = MlpModel(model.input_dim, model.hidden)
     for expected in (1, 2, 3):
         adamw_step(model, zero, 1e-3, 0.0, state)
         assert state.step == expected
@@ -146,7 +147,8 @@ def test_adamw_step_counter():
 def test_adamw_rejects_non_finite_gradient():
     model = init_model(2, seed=0)
     state = AdamState.init(model)
-    bad = {k: np.full_like(v, np.nan) for k, v in model.params().items()}
+    bad = MlpModel(model.input_dim, model.hidden)
+    bad.flat[:] = np.nan
     with pytest.raises(TrainingDivergedError):
         adamw_step(model, bad, 1e-3, 0.0, state)
 

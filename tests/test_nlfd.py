@@ -142,41 +142,6 @@ def test_histogram_single_bin_and_constant_factors():
     assert sum(c for _, c in hist0) == 4
 
 
-def test_ball_probe_radii_exact():
-    t = tasks.synthetic_task("sphere", 10)
-    ref = {name: 0.0 for name in t.param_names}
-    out = nlfd.ball_probe_sample(t, ref, radii=[0.5, 1.0, 2.0], per_radius=20, seed=0)
-    assert [r for r, _ in out] == [0.5, 1.0, 2.0]
-    for r, points in out:
-        assert len(points) == 20
-        for p in points:
-            vec = np.array([p[name] for name in t.param_names])
-            assert np.linalg.norm(vec) == pytest.approx(r, abs=1e-9)
-            assert np.all(np.abs(vec) <= 5.0)
-
-
-def test_ball_probe_high_dim_sphere_inside_box():
-    t = tasks.synthetic_task("sphere", 100)
-    ref = {name: 0.0 for name in t.param_names}
-    out = nlfd.ball_probe_sample(t, ref, radii=[1.0], per_radius=50, seed=1)
-    for p in out[0][1]:
-        assert all(-5.0 <= v <= 5.0 for v in p.values())
-
-
-def test_ball_probe_deterministic():
-    t = tasks.synthetic_task("sphere", 3)
-    ref = {name: 1.0 for name in t.param_names}
-    a = nlfd.ball_probe_sample(t, ref, [0.5], 5, seed=9)
-    b = nlfd.ball_probe_sample(t, ref, [0.5], 5, seed=9)
-    assert a == b
-
-
-def test_ball_probe_infeasible_radius():
-    t = tasks.synthetic_task("sphere", 1)
-    with pytest.raises(ValueError, match="infeasible"):
-        nlfd.ball_probe_sample(t, {"x0": 0.0}, [40.0], 3, seed=0)
-
-
 def test_pairwise_export_count_and_oracle():
     rng = np.random.default_rng(4)
     values = rng.standard_normal((10, 3))
