@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 
 import click
@@ -11,14 +11,13 @@ import numpy as np
 
 from . import experiments, nlfd
 from .embedders import build_embedder
-from .featurize import StringFormat
+from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .mlp import TrainConfig, save_model, train_and_evaluate
 from .tasks import (
     ingest_offline,
     load_task,
     sample_uniform,
     save_task,
-    split_dataset,
     synthetic_task,
     write_dataset_csv,
 )
@@ -40,13 +39,6 @@ def _resolve_task(task_file: str | None, function: str | None, dof: int | None):
     if function and dof:
         return synthetic_task(function, dof)
     raise click.UsageError("provide --task FILE or both --function and --dof")
-
-
-def _string_format(string_format: str, float_sig_digits: int, space_after_comma: bool) -> StringFormat:
-    variant = {"full": "full_dict", "values": "values_only"}[string_format]
-    return StringFormat(
-        variant=variant, float_precision=float_sig_digits, space_after_comma=space_after_comma
-    )
 
 
 @click.group()
@@ -102,97 +94,85 @@ def sample(ctx, task_file, function, dof, num_samples):
     """Sample a synthetic task uniformly and write task.json + data.csv."""
     task = _resolve_task(task_file, function, dof)
     ds = sample_uniform(task, num_samples, ctx.obj["seed"])
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir()
     save_task(task, out / "task.json")
     write_dataset_csv(ds, task, out / "data.csv")
     click.echo(f"wrote {out / 'task.json'} and {out / 'data.csv'} ({len(ds)} rows)")
 
 
-@main.command()
-@click.option("--task", "task_file", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_file", type=click.Path(exists=True), required=True)
-@click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
-@click.option("--string-format", type=click.Choice(["full", "values"]), default="full",
-              show_default=True)
-@click.option("--float-sig-digits", type=int, default=4, show_default=True)
-@click.option("--space-after-comma", is_flag=True)
-@click.pass_context
-def embed(ctx, task_file, data_file, embedder, string_format, float_sig_digits, space_after_comma):
-    """Embed an offline data file; writes embeddings.npz."""
-    task = load_task(task_file)
-    ds = ingest_offline(data_file, task)
-    fmt = _string_format(string_format, float_sig_digits, space_after_comma)
-    backend = build_embedder(_load_embedder_spec(embedder), task, fmt)
-    matrix = backend.embed(ds.xs)
-    out = ctx.obj["out"]
+def _offline_inputs(command):
+    """Shared ``--task``, ``--data`` and string-format options of the one-off steps. The command
+    gets the offline :class:`experiments.TaskInstance` and ``build(embedder option) -> Embedder``."""
+
+    @click.option("--task", "task_file", type=click.Path(exists=True), required=True)
+    @click.option("--data", "data_file", type=click.Path(exists=True), required=True)
+    @click.option("--string-format", type=click.Choice(["full", "values"]), default="full",
+                  show_default=True)
+    @click.option("--float-sig-digits", type=int, default=4, show_default=True)
+    @click.option("--space-after-comma", is_flag=True)
+    @wraps(command)
+    def wrapper(task_file, data_file, string_format, float_sig_digits, space_after_comma, **kwargs):
+        task = load_task(task_file)
+        variant = {"full": FULL_DICT, "values": VALUES_ONLY}[string_format]
+        fmt = StringFormat(variant=variant, float_precision=float_sig_digits, space_after_comma=space_after_comma)
+        build = lambda value: build_embedder(_load_embedder_spec(value), task, fmt)
+        return command(experiments.TaskInstance(family=task.id, task=task, data_path=data_file), build, **kwargs)
+
+    return wrapper
+
+
+def _out_dir() -> Path:
+    out = click.get_current_context().obj["out"]
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+@main.command()
+@_offline_inputs
+@click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
+def embed(instance, build, embedder):
+    """Embed an offline data file; writes embeddings.npz."""
+    matrix = build(embedder).embed(ingest_offline(instance.data_path, instance.task).xs)
+    out = _out_dir()
     np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
     click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.dim}, {matrix.provenance})")
 
 
 @main.command()
-@click.option("--task", "task_file", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_file", type=click.Path(exists=True), required=True)
+@_offline_inputs
 @click.option("--embedder", required=True)
-@click.option("--string-format", type=click.Choice(["full", "values"]), default="full",
-              show_default=True)
-@click.option("--float-sig-digits", type=int, default=4, show_default=True)
-@click.option("--space-after-comma", is_flag=True)
 @click.option("--train-config", default=None, help="Inline JSON overrides for training.")
 @click.pass_context
-def train(ctx, task_file, data_file, embedder, string_format, float_sig_digits,
-          space_after_comma, train_config):
+def train(ctx, instance, build, embedder, train_config):
     """Train the MLP head on an embedded dataset; writes model.npz + report.json."""
-    task = load_task(task_file)
-    ds = ingest_offline(data_file, task)
     seed = ctx.obj["seed"]
-    train_ds, val_ds, test_ds = split_dataset(ds, experiments.SPLIT_RATIOS, seed)
-    fmt = _string_format(string_format, float_sig_digits, space_after_comma)
-    backend = build_embedder(_load_embedder_spec(embedder), task, fmt)
+    _, parts = experiments._sample_and_split(instance, 0, seed)  # an offline table keeps all its rows
+    _, provenance, matrices = experiments._embed_parts(build(embedder), parts)
     overrides = json.loads(train_config) if train_config else {}
     cfg = TrainConfig.from_overrides({**overrides, "seed": seed})
-    model, normalizer, rep = train_and_evaluate(
-        (backend.embed(train_ds.xs), train_ds.y),
-        (backend.embed(val_ds.xs), val_ds.y),
-        (backend.embed(test_ds.xs), test_ds.y),
-        cfg,
-    )
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "model.npz", model, normalizer, backend.provenance)
+    model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg)
+    out = _out_dir()
+    save_model(out / "model.npz", model, normalizer, provenance)
     (out / "report.json").write_text(json.dumps(rep.as_dict(), indent=2) + "\n", encoding="utf-8")
     click.echo(f"test kendall_tau={rep.metrics['kendall_tau']:.4f}; wrote {out / 'model.npz'}")
 
 
 @main.command("nlfd")
-@click.option("--task", "task_file", type=click.Path(exists=True), required=True)
-@click.option("--data", "data_file", type=click.Path(exists=True), required=True)
+@_offline_inputs
 @click.option("--embedder-a", required=True)
 @click.option("--embedder-b", required=True)
 @click.option("--bins", type=int, default=20, show_default=True)
-@click.option("--string-format", type=click.Choice(["full", "values"]), default="full",
-              show_default=True)
-@click.option("--float-sig-digits", type=int, default=4, show_default=True)
 @click.option("--export-distances", is_flag=True,
               help="Also write all pairwise embedding distances per embedder.")
-@click.pass_context
-def nlfd_cmd(ctx, task_file, data_file, embedder_a, embedder_b, bins, string_format,
-             float_sig_digits, export_distances):
+def nlfd_cmd(instance, build, embedder_a, embedder_b, bins, export_distances):
     """Roughness-factor histograms for two embedders plus their z-score."""
-    task = load_task(task_file)
-    ds = ingest_offline(data_file, task)
-    fmt = _string_format(string_format, float_sig_digits, False)
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
-
+    ds = ingest_offline(instance.data_path, instance.task)
+    out = _out_dir()
     samples = {}
     for tag, spec in (("a", embedder_a), ("b", embedder_b)):
-        backend = build_embedder(_load_embedder_spec(spec), task, fmt)
-        matrix = backend.embed(ds.xs)
-        sample_ = nlfd.nlfd_sample(matrix, ds.y)
-        samples[tag] = sample_
-        rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(sample_, bins)]
+        matrix = build(spec).embed(ds.xs)
+        samples[tag] = nlfd.nlfd_sample(matrix, ds.y)
+        rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(samples[tag], bins)]
         experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)
         if export_distances:
             records = nlfd.pairwise_distance_export(matrix, ds.y)
@@ -202,16 +182,11 @@ def nlfd_cmd(ctx, task_file, data_file, embedder_a, embedder_b, bins, string_for
                 [list(r) for r in records],
             )
 
-    comparison = nlfd.nlfd_zscore(samples["a"], samples["b"])
-    payload = {
-        "z": comparison.z,
-        "a": {"mu": comparison.a_summary[0], "sigma": comparison.a_summary[1],
-              "n": comparison.a_summary[2], "excluded": samples["a"].excluded_pairs},
-        "b": {"mu": comparison.b_summary[0], "sigma": comparison.b_summary[1],
-              "n": comparison.b_summary[2], "excluded": samples["b"].excluded_pairs},
-    }
+    z = nlfd.nlfd_zscore(samples["a"], samples["b"]).z
+    summaries = {t: {"mu": s.mu, "sigma": s.sigma, "n": s.n, "excluded": s.excluded_pairs} for t, s in samples.items()}
+    payload = {"z": z, **summaries}
     (out / "nlfd_zscore.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    click.echo(f"z={comparison.z:.4f} (positive means embedder B is smoother); wrote {out}")
+    click.echo(f"z={z:.4f} (positive means embedder B is smoother); wrote {out}")
 
 
 if __name__ == "__main__":

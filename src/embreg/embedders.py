@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -53,20 +53,11 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    ids: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.ids)
-
-
-def tokenize(text: str) -> TokenSequence:
+def tokenize(text: str) -> list[int]:
     """Byte-level tokenization: one token per UTF-8 byte, vocabulary 256."""
     if text == "":
         raise EmptyTextError("cannot tokenize an empty string")
-    return TokenSequence(ids=tuple(text.encode("utf-8")))
+    return list(text.encode("utf-8"))
 
 
 def config_hash(config: dict) -> str:
@@ -107,8 +98,7 @@ def embed_vocab_pool(texts: list[str], table: VocabTable) -> EmbeddingMatrix:
         raise ValueError("texts must be non-empty")
     rows = np.empty((len(texts), table.width))
     for i, text in enumerate(texts):
-        ids = tokenize(text).ids
-        rows[i] = table.entries[list(ids)].mean(axis=0)
+        rows[i] = table.entries[tokenize(text)].mean(axis=0)
     return EmbeddingMatrix(values=rows, provenance=table.provenance)
 
 
@@ -184,16 +174,7 @@ class SyntheticTransformer:
                     "b2": np.zeros(dm),
                 }
             )
-        self.provenance = "synthetic_transformer:" + config_hash(
-            {
-                "layers": cfg.layers,
-                "model_dim": cfg.model_dim,
-                "heads": cfg.heads,
-                "ff_dim": cfg.ff_dim,
-                "seed": cfg.seed,
-                "table_seed": table.seed,
-            }
-        )
+        self.provenance = "synthetic_transformer:" + config_hash({**asdict(cfg), "table_seed": table.seed})
         self._position_table = np.empty((0, dm))
         self._memo: dict[str, np.ndarray] = {}
 
@@ -228,8 +209,8 @@ class SyntheticTransformer:
         return mixed @ weights["wo"]
 
     def _forward(self, text: str, collect: list | None) -> np.ndarray:
-        ids = tokenize(text).ids
-        h = self.table.entries[list(ids)] + self._positions(len(ids))
+        ids = tokenize(text)
+        h = self.table.entries[ids] + self._positions(len(ids))
         for weights in self.layers:
             h = h + self._attention(_layer_norm(h), weights, collect)
             ff_in = _layer_norm(h)
@@ -353,10 +334,13 @@ class Backend:
     """An embedder kind: the spec keys it takes besides ``kind``, and
     ``build(task, texts, **keys) -> (embed, provenance or None)``, where
     ``texts(xs)`` serializes assignments in the run's string format. Key
-    defaults live in the function, config or constructor the build calls."""
+    defaults live in the function, config or constructor the build calls.
+    ``check(**keys)`` raises TypeError or ValueError for keys that
+    cannot build, without building a model or touching a file or network."""
 
     keys: tuple[str, ...]
     build: Callable
+    check: Callable = lambda **keys: None
 
 
 #: Every embedder kind, keyed by the spec's ``kind``.
@@ -364,20 +348,25 @@ BACKENDS = {
     "traditional": Backend((), lambda task, texts: (partial(embed_traditional, task), None)),
     "vocab_pool": Backend(("width", "seed"), _vocab_pool),
     "synthetic_transformer": Backend(
-        ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"), _synthetic_transformer
+        ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
+        _synthetic_transformer,
+        check=lambda table_seed=None, **options: SyntheticTransformerConfig(**options),
     ),
     "scrambled": Backend(("dim", "seed"), _scrambled),
     "scrambled_perm": Backend(
         ("seed",), lambda task, texts, **options: (partial(embed_scrambled_permutation, task, **options), None)
     ),
     "remote": Backend(
-        ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"), _remote
+        ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
+        _remote,
+        check=lambda endpoint, model, **options: None,  # both keys are required
     ),
 }
 
 
 def check_spec(spec: dict) -> None:
-    """Raise ValueError unless ``spec`` names a known kind and only its keys."""
+    """Raise ValueError unless ``spec`` names a known kind and only its keys,
+    and passes the kind's :attr:`Backend.check`."""
     if not isinstance(spec, dict):
         raise ValueError(f"an embedder spec must be a JSON object, got {spec!r}")
     backend = BACKENDS.get(spec.get("kind"))
@@ -387,6 +376,10 @@ def check_spec(spec: dict) -> None:
     if unknown:
         allowed = ", ".join(backend.keys) or "none"
         raise ValueError(f"unknown keys for embedder kind {spec['kind']!r}: {sorted(unknown)} (allowed: {allowed})")
+    try:
+        backend.check(**{k: v for k, v in spec.items() if k != "kind"})
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"embedder kind {spec['kind']!r} cannot build from {spec}: {e}") from e
 
 
 def build_embedder(spec: dict, task: RegressionTask, fmt: StringFormat | None = None) -> Embedder:

@@ -457,22 +457,23 @@ def summarize_comparison(exp_dir: Path, store: RunStore) -> None:
     _write_csv(exp_dir / "comparison_summary.csv", header, rows)
 
 
+def _slot_pairs(records: list[dict], keys: tuple[str, ...]) -> list[tuple[tuple, dict, dict]]:
+    """``(key, slot-0 record, slot-1 record)`` for each value of ``keys`` that
+    has a record in both slots, sorted by key."""
+    by_slot = _group(records, (*keys, "slot"))
+    return [
+        (key, by_slot[(*key, 0)][0], by_slot[(*key, 1)][0])
+        for key in sorted({k[:-1] for k in by_slot})
+        if (*key, 0) in by_slot and (*key, 1) in by_slot
+    ]
+
+
 def summarize_nlfd_correlation(exp_dir: Path, store: RunStore) -> None:
-    records = store.ok_records()
-    by_cell = _group(records, ("family", "dof", "seed", "slot"))
-    scatter = []
-    for family, dof in sorted(_group(records, ("family", "dof"))):
-        zs, gaps = [], []
-        for seed in sorted({r["seed"] for r in records}):
-            rec_a = by_cell.get((family, dof, seed, 0))
-            rec_b = by_cell.get((family, dof, seed, 1))
-            if not rec_a or not rec_b:
-                continue
-            a, b = rec_a[0], rec_b[0]
-            zs.append(zscore((a["nlfd_mu"], a["nlfd_sigma"]), (b["nlfd_mu"], b["nlfd_sigma"])))
-            gaps.append(b["kendall_tau"] - a["kendall_tau"])
-        if zs:
-            scatter.append([family, dof, _mean(zs), _mean(gaps)])
+    per_task: dict[tuple, list[tuple[float, float]]] = {}
+    for (family, dof, _), a, b in _slot_pairs(store.ok_records(), ("family", "dof", "seed")):
+        z = zscore((a["nlfd_mu"], a["nlfd_sigma"]), (b["nlfd_mu"], b["nlfd_sigma"]))
+        per_task.setdefault((family, dof), []).append((z, b["kendall_tau"] - a["kendall_tau"]))
+    scatter = [[*task, _mean(z for z, _ in pairs), _mean(gap for _, gap in pairs)] for task, pairs in per_task.items()]
     _write_csv(exp_dir / "nlfd_scatter.csv", ["function", "dof", "zscore", "kendall_gap"], scatter)
     if len(scatter) >= 3:
         zs = [row[2] for row in scatter]
@@ -482,23 +483,15 @@ def summarize_nlfd_correlation(exp_dir: Path, store: RunStore) -> None:
 
 
 def summarize_data_scaling(exp_dir: Path, store: RunStore) -> None:
-    records = store.ok_records()
-    by_cell = _group(records, ("family", "dof", "seed", "n", "slot"))
+    gaps: dict[int, list[float]] = {}
+    for (size, *_), a, b in _slot_pairs(store.ok_records(), ("n", "family", "dof", "seed")):
+        gaps.setdefault(size, []).append(b["kendall_tau"] - a["kendall_tau"])
     rows = []
-    for size in sorted({r["n"] for r in records}):
-        gaps = []
-        for family, dof in sorted(_group(records, ("family", "dof"))):
-            for seed in sorted({r["seed"] for r in records}):
-                rec_a = by_cell.get((family, dof, seed, size, 0))
-                rec_b = by_cell.get((family, dof, seed, size, 1))
-                if rec_a and rec_b:
-                    gaps.append(rec_b[0]["kendall_tau"] - rec_a[0]["kendall_tau"])
-        if not gaps:
-            continue
-        arr = np.asarray(gaps, dtype=np.float64)
+    for size, size_gaps in gaps.items():
+        arr = np.asarray(size_gaps, dtype=np.float64)
         mean, std = float(arr.mean()), float(arr.std())
         bounds = [bound for band in GAP_BANDS for bound in (mean - band * std, mean + band * std)]
-        rows.append([size, len(gaps), mean, std, *bounds])
+        rows.append([size, len(size_gaps), mean, std, *bounds])
     header = ["size", "records", "mean_gap", "std_gap", *(f"{e}_{band}" for band in GAP_BANDS for e in ("lo", "hi"))]
     _write_csv(exp_dir / "data_scaling_summary.csv", header, rows)
 

@@ -202,3 +202,46 @@ def test_config_hash_pins_output_directory(runner, tmp_path):
         )
         assert result.exit_code == 0, result.output
     assert len(list((tmp_path / "runs").iterdir())) == 2
+
+
+def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
+    from embreg import experiments
+    from embreg.featurize import StringFormat
+    from embreg.mlp import load_model
+    from embreg.tasks import load_task
+
+    task_file, data_file = _sampled(runner, tmp_path)
+    spec = {"kind": "vocab_pool", "width": 16}
+    out = tmp_path / "model"
+    result = runner.invoke(
+        main,
+        ["--seed", "2", "--out", str(out), "train", "--task", str(task_file), "--data", str(data_file),
+         "--embedder", json.dumps(spec), "--string-format", "values", "--float-sig-digits", "3",
+         "--space-after-comma", "--train-config", json.dumps(FAST_TRAIN)],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    task = load_task(task_file)
+    instance = experiments.TaskInstance(family=task.id, task=task, data_path=str(data_file))
+    fmt = StringFormat("values_only", 3, True)
+    rec = experiments.run_cell(instance, spec, seed=2, n_samples=40, fmt=fmt, train_overrides=FAST_TRAIN)
+    assert report["metrics"] == {k: rec[k] for k in report["metrics"]}
+    assert (report["chosen_lr"], report["chosen_wd"], report["epochs_run"]) == (
+        rec["chosen_lr"], rec["chosen_wd"], rec["epochs"]
+    )
+    assert load_model(out / "model.npz")[2] == rec["embedder"]
+
+
+def test_nlfd_space_after_comma_changes_the_vocab_pool_inputs(runner, tmp_path):
+    task_file, data_file = _sampled(runner, tmp_path)
+    zs = []
+    for flags in ([], ["--space-after-comma"]):
+        out = tmp_path / f"nlfd{len(flags)}"
+        result = runner.invoke(
+            main,
+            ["--out", str(out), "nlfd", "--task", str(task_file), "--data", str(data_file),
+             "--embedder-a", '{"kind": "vocab_pool", "width": 16}', "--embedder-b", "traditional", *flags],
+        )
+        assert result.exit_code == 0, result.output
+        zs.append(json.loads((out / "nlfd_zscore.json").read_text())["z"])
+    assert zs[0] != zs[1]

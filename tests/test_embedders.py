@@ -15,12 +15,12 @@ from embreg.embedders import (
 
 def test_tokenize_bytes():
     seq = embedders.tokenize("ab")
-    assert seq.ids == (97, 98)
-    assert seq.length == 2
+    assert seq == [97, 98]
+    assert len(seq) == 2
 
 
 def test_tokenize_length_of_key_value():
-    assert embedders.tokenize("x0:0.32").length == 7
+    assert len(embedders.tokenize("x0:0.32")) == 7
 
 
 def test_tokenize_deterministic_and_rejects_empty():
@@ -128,7 +128,7 @@ def _einsum_attention(model, h, weights):
 
 
 def _reference_encode(model, text):
-    ids = list(embedders.tokenize(text).ids)
+    ids = embedders.tokenize(text)
     h = model.table.entries[ids] + embedders._position_encoding(len(ids), model.cfg.model_dim)
     for w in model.layers:
         h = h + _einsum_attention(model, embedders._layer_norm(h), w)[0]

@@ -631,3 +631,88 @@ def test_parallel_run_computes_each_input_once_and_writes_sequential_records(tmp
 
     assert len(records(seq)) == 32
     assert records(par) == records(seq)
+
+
+def test_config_rejects_embedder_specs_that_cannot_build():
+    for spec, match in (
+        ({"kind": "remote"}, "'remote'.*'endpoint' and 'model'"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/embed"}, "'remote'.*'model'"),
+        ({"kind": "synthetic_transformer", "model_dim": 30}, "'synthetic_transformer'.*divisible"),
+        ({"kind": "synthetic_transformer", "layers": 0}, "'synthetic_transformer'.*positive"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _cfg(embedders=[spec])
+
+
+def test_embedder_spec_check_builds_no_model_and_reads_no_cache(tmp_path, monkeypatch):
+    from embreg import embedders, remote
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec check must not build an embedder")
+
+    monkeypatch.setattr(embedders.SyntheticTransformer, "__init__", refuse)
+    monkeypatch.setattr(remote.RemoteEmbedder, "__init__", refuse)
+    cache = tmp_path / "cache.jsonl"
+    _cfg(
+        embedders=[
+            {"kind": "synthetic_transformer", "model_dim": 16, "heads": 2, "table_seed": 3},
+            {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m", "cache": str(cache)},
+        ]
+    )
+    assert not cache.exists()
+
+
+def _paired_records(sizes):
+    """Hand-written records of two embedder slots: discus/dof3 has no slot-1
+    record and rastrigin/dof2 has none at seed 2."""
+    records, i = [], 0
+    for family, dof in (("sphere", 2), ("sphere", 5), ("rastrigin", 2), ("discus", 3)):
+        for seed, n, slot in ((seed, n, slot) for seed in (0, 1, 2) for n in sizes for slot in (0, 1)):
+            i += 1
+            if slot == 1 and (family == "discus" or (family, seed) == ("rastrigin", 2)):
+                continue
+            cell = experiments._cell_key(family=family, dof=dof, slot=slot, seed=seed, n=n, fmt="full_dict")
+            records.append({
+                "cell": cell, "status": "ok", "family": family, "dof": dof, "seed": seed, "n": n, "slot": slot,
+                "kendall_tau": (i * i % 23) / 23 - 0.3, "nlfd_mu": 1 + (7 * i % 11) / 10,
+                "nlfd_sigma": 0.2 + (5 * i % 7) / 20,
+            })
+    return records
+
+
+@pytest.mark.parametrize(
+    "kind, sizes, expected",
+    [
+        (
+            "nlfd-corr",
+            (40,),
+            {
+                "nlfd_scatter.csv": "function,dof,zscore,kendall_gap\n"
+                "rastrigin,2,-0.619902135671339,-0.2391304347826087\n"
+                "sphere,2,0.0057293894151852305,0.3043478260869565\n"
+                "sphere,5,0.21634723627906913,0.15942028985507248\n",
+                "nlfd_correlations.csv": "n_tasks,kendall_tau,spearman,pearson\n"
+                "3,0.3333333333333333,0.4999999999999999,0.8751910145768367\n",
+            },
+        ),
+        (
+            "scale-data",
+            (20, 40),
+            {
+                "data_scaling_summary.csv": "size,records,mean_gap,std_gap,lo_0.5,hi_0.5,lo_1.0,hi_1.0,lo_2.0,hi_2.0\n"
+                "20,8,-0.02717391304347825,0.3127243995829522,-0.18353611283495433,0.12918828674799784,"
+                "-0.33989831262643044,0.2855504865394739,-0.6526227122093826,0.5982748861224261\n"
+                "40,8,-0.10326086956521739,0.4169934131569191,-0.31175757614367694,0.10523583701324217,"
+                "-0.5202542827221365,0.3137325435917017,-0.9372476958790557,0.7307259567486208\n",
+            },
+        ),
+    ],
+)
+def test_paired_summaries_are_pinned(tmp_path, kind, sizes, expected):
+    exp_dir = tmp_path / f"{kind}-pinned"
+    exp_dir.mkdir()
+    # Written in reverse, so the rows' order comes from the summarizer's sort.
+    lines = [json.dumps(r) + "\n" for r in reversed(_paired_records(sizes))]
+    (exp_dir / "records.jsonl").write_text("".join(lines))
+    experiments.regenerate_summaries(exp_dir)
+    assert {name: (exp_dir / name).read_text() for name in expected} == expected
