@@ -86,11 +86,11 @@ _REGISTRY: dict[str, Callable[[np.ndarray], float]] = {
 CATALOG: tuple[str, ...] = tuple(_REGISTRY)
 
 
-def register(function_id: str, fn: Callable[[np.ndarray], float], overwrite: bool = False) -> None:
+def register(function_id: str, fn: Callable[[np.ndarray], float]) -> None:
     """Add an objective to the registry under a stable lowercase id."""
     if function_id != function_id.lower():
         raise ValueError(f"function id must be lowercase: {function_id!r}")
-    if function_id in _REGISTRY and not overwrite:
+    if function_id in _REGISTRY:
         raise ValueError(f"function id already registered: {function_id!r}")
     _REGISTRY[function_id] = fn
 

@@ -63,7 +63,10 @@ def _run_experiment(kind: str) -> None:
     ctx = click.get_current_context()
     if not ctx.obj["config_path"]:
         raise click.UsageError("this subcommand requires --config")
-    cfg = experiments.ExperimentConfig.from_file(ctx.obj["config_path"])
+    try:
+        cfg = experiments.ExperimentConfig.from_file(ctx.obj["config_path"])
+    except (OSError, TypeError, ValueError) as e:
+        raise click.BadParameter(str(e), param_hint="'--config'") from e
     exp_dir = experiments.run_experiment(
         kind, cfg, ctx.obj["out"], force=ctx.obj["force"], workers=ctx.obj["workers"], echo=click.echo
     )
@@ -101,8 +104,9 @@ def sample(ctx, task_file, function, dof, num_samples):
 
 
 def _offline_inputs(command):
-    """Shared ``--task``, ``--data`` and string-format options of the one-off steps. The command
-    gets the offline :class:`experiments.TaskInstance` and ``build(embedder option) -> Embedder``."""
+    """Shared ``--task``, ``--data`` and string-format options of the one-off steps. The command gets
+    the offline :class:`experiments.TaskInstance` and ``build(value, option name) -> Embedder``, which
+    turns a spec that cannot parse or build into a usage error on that option."""
 
     @click.option("--task", "task_file", type=click.Path(exists=True), required=True)
     @click.option("--data", "data_file", type=click.Path(exists=True), required=True)
@@ -115,7 +119,13 @@ def _offline_inputs(command):
         task = load_task(task_file)
         variant = {"full": FULL_DICT, "values": VALUES_ONLY}[string_format]
         fmt = StringFormat(variant=variant, float_precision=float_sig_digits, space_after_comma=space_after_comma)
-        build = lambda value: build_embedder(_load_embedder_spec(value), task, fmt)
+
+        def build(value: str, option: str):
+            try:
+                return build_embedder(_load_embedder_spec(value), task, fmt)
+            except (OSError, TypeError, ValueError) as e:
+                raise click.BadParameter(str(e), param_hint=f"'{option}'") from e
+
         return command(experiments.TaskInstance(family=task.id, task=task, data_path=data_file), build, **kwargs)
 
     return wrapper
@@ -132,7 +142,7 @@ def _out_dir() -> Path:
 @click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
 def embed(instance, build, embedder):
     """Embed an offline data file; writes embeddings.npz."""
-    matrix = build(embedder).embed(ingest_offline(instance.data_path, instance.task).xs)
+    matrix = build(embedder, "--embedder").embed(ingest_offline(instance.data_path, instance.task).xs)
     out = _out_dir()
     np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
     click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.dim}, {matrix.provenance})")
@@ -146,10 +156,12 @@ def embed(instance, build, embedder):
 def train(ctx, instance, build, embedder, train_config):
     """Train the MLP head on an embedded dataset; writes model.npz + report.json."""
     seed = ctx.obj["seed"]
+    try:
+        cfg = TrainConfig.from_overrides(json.loads(train_config) if train_config else {}, seed)
+    except (TypeError, ValueError) as e:
+        raise click.BadParameter(str(e), param_hint="'--train-config'") from e
     _, parts = experiments._sample_and_split(instance, 0, seed)  # an offline table keeps all its rows
-    _, provenance, matrices = experiments._embed_parts(build(embedder), parts)
-    overrides = json.loads(train_config) if train_config else {}
-    cfg = TrainConfig.from_overrides({**overrides, "seed": seed})
+    _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
     model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg)
     out = _out_dir()
     save_model(out / "model.npz", model, normalizer, provenance)
@@ -169,8 +181,8 @@ def nlfd_cmd(instance, build, embedder_a, embedder_b, bins, export_distances):
     ds = ingest_offline(instance.data_path, instance.task)
     out = _out_dir()
     samples = {}
-    for tag, spec in (("a", embedder_a), ("b", embedder_b)):
-        matrix = build(spec).embed(ds.xs)
+    for tag, embedder in (("a", build(embedder_a, "--embedder-a")), ("b", build(embedder_b, "--embedder-b"))):
+        matrix = embedder.embed(ds.xs)
         samples[tag] = nlfd.nlfd_sample(matrix, ds.y)
         rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(samples[tag], bins)]
         experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)

@@ -73,23 +73,22 @@ def _hash_seed(*parts: str) -> int:
 
 @dataclass(frozen=True)
 class VocabTable:
-    """Seeded token-embedding table: v rows of width-dimensional vectors."""
+    """Seeded token-embedding table: one width-dimensional vector per byte token."""
 
-    v: int
     width: int
     seed: int
     entries: np.ndarray
 
     @classmethod
-    def create(cls, width: int = 64, seed: int = 0, v: int = BYTE_VOCAB) -> "VocabTable":
+    def create(cls, width: int = 64, seed: int = 0) -> "VocabTable":
         rng = np.random.default_rng(seed)
-        entries = rng.standard_normal((v, width)) / math.sqrt(width)
-        return cls(v=v, width=width, seed=seed, entries=entries)
+        entries = rng.standard_normal((BYTE_VOCAB, width)) / math.sqrt(width)
+        return cls(width=width, seed=seed, entries=entries)
 
     @cached_property
     def provenance(self) -> str:
         """Provenance of vocab_pool embeddings read from this table."""
-        return "vocab_pool:" + config_hash({"v": self.v, "width": self.width, "seed": self.seed})
+        return "vocab_pool:" + config_hash({"v": BYTE_VOCAB, "width": self.width, "seed": self.seed})
 
 
 def embed_vocab_pool(texts: list[str], table: VocabTable) -> EmbeddingMatrix:
@@ -289,17 +288,12 @@ def embed_scrambled_permutation(
 
 
 class Embedder:
-    """A backend bound to a task: embeds lists of assignments.
+    """A backend bound to a task: embeds lists of assignments. Provenance
+    travels on the matrices ``embed`` returns."""
 
-    ``provenance`` is that of every matrix ``embed`` returns. A backend object
-    that owns one passes it in; for a stateless ``embed_*`` function it is
-    read off an empty batch, so each provenance string is built in one place.
-    """
-
-    def __init__(self, kind: str, fn, provenance: str | None = None):
+    def __init__(self, kind: str, fn):
         self.kind = kind
         self._fn = fn
-        self.provenance = fn([]).provenance if provenance is None else provenance
 
     def embed(self, xs: list[dict]) -> EmbeddingMatrix:
         return self._fn(xs)
@@ -307,32 +301,32 @@ class Embedder:
 
 def _vocab_pool(task, texts, **options):
     table = VocabTable.create(**options)
-    return lambda xs: embed_vocab_pool(texts(xs), table), table.provenance
+    return lambda xs: embed_vocab_pool(texts(xs), table)
 
 
 def _synthetic_transformer(task, texts, table_seed=None, **options):
     cfg = SyntheticTransformerConfig(**options)
     table = VocabTable.create(cfg.model_dim, cfg.seed if table_seed is None else table_seed)
     model = SyntheticTransformer(cfg, table)
-    return lambda xs: model.embed(texts(xs)), model.provenance
+    return lambda xs: model.embed(texts(xs))
 
 
 def _scrambled(task, texts, dim=None, **options):
     dim = dim or d_trad(task)
-    return lambda xs: embed_hash_scrambled(texts(xs), dim, **options), None
+    return lambda xs: embed_hash_scrambled(texts(xs), dim, **options)
 
 
 def _remote(task, texts, cache=None, **options):
     from .remote import RemoteEmbedder  # looked up per build: remote imports this module
 
     client = RemoteEmbedder(cache_path=cache, **options)
-    return lambda xs: client.embed_texts(texts(xs)), client.provenance
+    return lambda xs: client.embed_texts(texts(xs))
 
 
 @dataclass(frozen=True)
 class Backend:
     """An embedder kind: the spec keys it takes besides ``kind``, and
-    ``build(task, texts, **keys) -> (embed, provenance or None)``, where
+    ``build(task, texts, **keys) -> embed``, where
     ``texts(xs)`` serializes assignments in the run's string format. Key
     defaults live in the function, config or constructor the build calls.
     ``check(**keys)`` raises TypeError or ValueError for keys that
@@ -345,7 +339,7 @@ class Backend:
 
 #: Every embedder kind, keyed by the spec's ``kind``.
 BACKENDS = {
-    "traditional": Backend((), lambda task, texts: (partial(embed_traditional, task), None)),
+    "traditional": Backend((), lambda task, texts: partial(embed_traditional, task)),
     "vocab_pool": Backend(("width", "seed"), _vocab_pool),
     "synthetic_transformer": Backend(
         ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
@@ -354,7 +348,7 @@ BACKENDS = {
     ),
     "scrambled": Backend(("dim", "seed"), _scrambled),
     "scrambled_perm": Backend(
-        ("seed",), lambda task, texts, **options: (partial(embed_scrambled_permutation, task, **options), None)
+        ("seed",), lambda task, texts, **options: partial(embed_scrambled_permutation, task, **options)
     ),
     "remote": Backend(
         ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
@@ -393,4 +387,4 @@ def build_embedder(spec: dict, task: RegressionTask, fmt: StringFormat | None = 
     fmt = fmt or StringFormat()
     options = {k: v for k, v in spec.items() if k != "kind"}
     texts = lambda xs: [serialize(task, x, fmt) for x in xs]
-    return Embedder(spec["kind"], *BACKENDS[spec["kind"]].build(task, texts, **options))
+    return Embedder(spec["kind"], BACKENDS[spec["kind"]].build(task, texts, **options))

@@ -13,7 +13,6 @@ configs produce byte-identical summary files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import threading
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bbob, metrics
-from .embedders import Embedder, build_embedder, check_spec
+from .embedders import Embedder, build_embedder, check_spec, config_hash
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
@@ -61,7 +60,7 @@ class ExperimentConfig:
     )
     train: dict = field(default_factory=dict)
     sizes: tuple[int, ...] = (50, 100, 200, 400)
-    bins: int = 20
+    bins: int = 20  # read by nothing and not settable; kept so that config_hash stays put
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -69,12 +68,18 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if "bins" in d:
+            raise ValueError("config field 'bins' is read by nothing and cannot be set")
         coerced = dict(d)
         for key in ("functions", "dofs", "seeds", "sizes", "embedders", "offline"):
             if key in coerced:
                 coerced[key] = tuple(coerced[key])
         for spec in coerced.get("embedders", ()):
             check_spec(spec)
+        for entry in coerced.get("offline", ()):
+            if not (isinstance(entry, dict) and {"task", "data"} <= set(entry) <= {"task", "data", "family"}
+                    and all(isinstance(v, str) for v in entry.values())):
+                raise ValueError(f"an offline entry takes string task and data and an optional family, got {entry!r}")
         cfg = cls(**coerced)
         cfg.fmt()
         TrainConfig.from_overrides(cfg.train)
@@ -95,7 +100,7 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
+        return config_hash(asdict(self))
 
     def fmt(self) -> StringFormat:
         """``string_format`` as a :class:`StringFormat`; unknown keys raise ValueError."""
@@ -145,10 +150,6 @@ class TaskInstance:
     data_path: str | None = None  # offline source, sampled when None
 
     @property
-    def label(self) -> str:
-        return f"{self.family}/dof{self.task.dof}"
-
-    @property
     def inputs(self):
         """What the instance's inputs depend on: its parameter space when
         sampled, the instance itself when read from an offline table."""
@@ -166,6 +167,8 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
             raise ValueError("this experiment supports synthetic tasks only")
         return instances
     for entry in cfg.offline:
+        if not Path(entry["data"]).is_file():
+            raise ValueError(f"offline data table {entry['data']!r} does not exist")
         task = load_task(entry["task"])
         instances.append(
             TaskInstance(
@@ -265,7 +268,7 @@ def _embed_parts(embedder: Embedder, parts) -> tuple[str, str, tuple]:
     matrices = tuple(embedder.embed(part.xs) for part in parts)
     for m in matrices:
         m.values.flags.writeable = False
-    return embedder.kind, embedder.provenance, matrices
+    return embedder.kind, matrices[0].provenance, matrices
 
 
 def run_cell(
@@ -301,7 +304,7 @@ def run_cell(
         share.release(keys)
     (m_train, m_val, m_test), (y_train, y_val, y_test) = matrices, [part.y for part in parts]
 
-    cfg = TrainConfig.from_overrides({**train_overrides, "seed": seed})
+    cfg = TrainConfig.from_overrides(train_overrides, seed)
     _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), cfg)
 
     pooled = EmbeddingMatrix(

@@ -55,30 +55,31 @@ class MlpModel(dict):
     trained or run from two threads at once.
     """
 
-    def __init__(self, input_dim: int, hidden: int = HIDDEN_WIDTH, flat: np.ndarray | None = None):
-        shapes = ((input_dim, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,))
+    def __init__(self, input_dim: int, flat: np.ndarray | None = None):
+        h = HIDDEN_WIDTH
+        shapes = ((input_dim, h), (h,), (h, h), (h,), (h, 1), (1,))
         bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         self.flat = np.zeros(bounds[-1]) if flat is None else flat
         for name, shape, start, end in zip(_PARAM_NAMES, shapes, bounds, bounds[1:]):
             self[name] = self.flat[start:end].reshape(shape)
         self.__dict__.update(self)
-        self.input_dim, self.hidden = input_dim, hidden
+        self.input_dim = input_dim
         self.workspaces: dict[int, tuple[np.ndarray, ...]] = {}
 
     def params(self) -> dict[str, np.ndarray]:
         return dict(self)
 
     def copy_weights(self) -> "MlpModel":
-        return MlpModel(self.input_dim, self.hidden, self.flat.copy())
+        return MlpModel(self.input_dim, self.flat.copy())
 
     def load_weights(self, weights: "MlpModel") -> None:
         np.copyto(self.flat, weights.flat)
 
 
-def init_model(input_dim: int, seed: int, hidden: int = HIDDEN_WIDTH) -> MlpModel:
+def init_model(input_dim: int, seed: int) -> MlpModel:
     """He-style uniform init, seeded; biases start at zero."""
     rng = np.random.default_rng(seed)
-    model = MlpModel(input_dim, hidden)
+    model = MlpModel(input_dim)
     for w in (model.w1, model.w2, model.w3):
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -88,8 +89,8 @@ def init_model(input_dim: int, seed: int, hidden: int = HIDDEN_WIDTH) -> MlpMode
 def _workspace(model: MlpModel, n: int) -> tuple[np.ndarray, ...]:
     """Buffers for ``n`` rows: h1, h2 (later d_z1), d_h2, a ReLU mask, the output."""
     if n not in model.workspaces:
-        hidden = np.empty((3, n, model.hidden))
-        model.workspaces[n] = (*hidden, np.empty((n, model.hidden), dtype=bool), np.empty((n, 1)))
+        hidden = np.empty((3, n, HIDDEN_WIDTH))
+        model.workspaces[n] = (*hidden, np.empty((n, HIDDEN_WIDTH), dtype=bool), np.empty((n, 1)))
     return model.workspaces[n]
 
 
@@ -116,7 +117,7 @@ def loss_and_grad(
     n = y.size
     if x.shape[0] != n:
         raise ValueError(f"row count mismatch: {x.shape[0]} features vs {n} targets")
-    grads = MlpModel(model.input_dim, model.hidden) if grads is None else grads
+    grads = MlpModel(model.input_dim) if grads is None else grads
     h1, h2, d_h2, mask, out = _workspace(model, n)
     np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
     np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
@@ -222,13 +223,15 @@ class TrainConfig:
             raise ValueError("max_epochs, patience and batch_size must be integers >= 1")
 
     @classmethod
-    def from_overrides(cls, overrides: dict | None) -> "TrainConfig":
+    def from_overrides(cls, overrides: dict | None, seed: int = 0) -> "TrainConfig":
         overrides = dict(overrides or {})
+        if "seed" in overrides:
+            raise ValueError("the training seed cannot be overridden: it comes from `seeds` (--seed in the CLI)")
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown train fields: {sorted(unknown)}")
         grids = {k: tuple(overrides[k]) for k in ("learning_rates", "weight_decays") if k in overrides}
-        return cls(**{**overrides, **grids})
+        return cls(**{**overrides, **grids}, seed=seed)
 
 
 @dataclass
@@ -371,8 +374,10 @@ def load_model(path) -> tuple[MlpModel, YNormalizer, str]:
         meta = json.loads(str(data["meta"]))
         if meta.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model file version: {meta.get('version')}")
-        model = MlpModel(meta["input_dim"], data["b1"].size)
+        model = MlpModel(meta["input_dim"])
         for name, view in model.items():
+            if data[name].shape != view.shape:
+                raise ValueError(f"model file {name} has shape {data[name].shape}; this head needs {view.shape}")
             view[...] = data[name]
     normalizer = YNormalizer(mu=meta["mu"], sigma=meta["sigma"])
     return model, normalizer, meta["provenance"]

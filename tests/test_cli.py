@@ -245,3 +245,68 @@ def test_nlfd_space_after_comma_changes_the_vocab_pool_inputs(runner, tmp_path):
         assert result.exit_code == 0, result.output
         zs.append(json.loads((out / "nlfd_zscore.json").read_text())["z"])
     assert zs[0] != zs[1]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["embed", "--embedder", '{"kind":"vocab_pool",}'], "--embedder"),
+        (["embed", "--embedder", '{"kind":"remote"}'], "--embedder"),
+        (["embed", "--embedder", '{"kind":"vocab_pool","width":-1}'], "--embedder"),
+        (["train", "--embedder", "traditional", "--train-config", '{"seed": 5, "max_epochs": 3}'], "--train-config"),
+        (["train", "--embedder", "traditional", "--train-config", '{"max_epoch": 3}'], "--train-config"),
+        (["train", "--embedder", "nope"], "--embedder"),
+        (["nlfd", "--embedder-a", "traditional", "--embedder-b", '{"kind":"nope"}'], "--embedder-b"),
+    ],
+)
+def test_bad_one_off_options_are_usage_errors(runner, tmp_path, command, option):
+    task_file, data_file = _sampled(runner, tmp_path)
+    name, *rest = command
+    result = runner.invoke(
+        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "out" / "embeddings.npz").exists() and not (tmp_path / "out" / "model.npz").exists()
+
+
+def test_train_config_seed_points_to_the_seed_option(runner, tmp_path):
+    task_file, data_file = _sampled(runner, tmp_path)
+    result = runner.invoke(
+        main,
+        ["train", "--task", str(task_file), "--data", str(data_file), "--embedder", "traditional",
+         "--train-config", '{"seed": 5}'],
+    )
+    assert result.exit_code == 2 and "--seed" in result.output
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"train": {**FAST_TRAIN, "seed": 7}},
+        {"bins": 30},
+        {"offline": [{"task": "t.json", "data": "d.csv", "famliy": "x"}]},
+        {"dofs": 5},
+    ],
+)
+def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
+    cfg = _write_config(tmp_path / "cfg.json", embedders=[{"kind": "traditional"}, {"kind": "scrambled"}], **overrides)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--config'" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_embedding_errors_still_propagate(runner, tmp_path, monkeypatch):
+    from embreg import embedders
+
+    def fail(self, xs):
+        raise ValueError("embedding failed")
+
+    monkeypatch.setattr(embedders.Embedder, "embed", fail)
+    task_file, data_file = _sampled(runner, tmp_path)
+    result = runner.invoke(
+        main, ["embed", "--task", str(task_file), "--data", str(data_file), "--embedder", "traditional"]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError) and str(result.exception) == "embedding failed"

@@ -260,7 +260,7 @@ def test_build_embedder_kinds_and_provenance():
         out = emb.embed(ds.xs)
         assert out.rows == 5
         assert out.provenance.startswith(kind + ":")
-        assert emb.provenance == out.provenance
+        assert emb.embed(ds.xs[:2]).provenance == out.provenance
         provs.add(out.provenance)
     assert len(provs) == len(kinds)
     with pytest.raises(ValueError, match="unknown embedder"):
@@ -285,6 +285,24 @@ def test_build_embedder_rejects_bad_specs(spec, match):
 
 def test_build_embedder_config_changes_provenance():
     task = tasks.synthetic_task("sphere", 3)
+    xs = tasks.sample_uniform(task, 2, seed=0).xs
     a = embedders.build_embedder({"kind": "vocab_pool", "seed": 0}, task)
     b = embedders.build_embedder({"kind": "vocab_pool", "seed": 1}, task)
-    assert a.provenance != b.provenance
+    assert a.embed(xs).provenance != b.embed(xs).provenance
+
+
+@pytest.mark.parametrize(
+    "spec, provenance",
+    [
+        ({"kind": "traditional"}, "traditional:7f08e859d07b"),
+        ({"kind": "vocab_pool"}, "vocab_pool:35d99e5cf7cb"),
+        ({"kind": "vocab_pool", "width": 16, "seed": 1}, "vocab_pool:d9cbd5ff19db"),
+        ({"kind": "synthetic_transformer"}, "synthetic_transformer:b6abd5ab3975"),
+        ({"kind": "scrambled"}, "scrambled:8deb8155af8c"),
+        ({"kind": "scrambled_perm"}, "scrambled_perm:8deb8155af8c"),
+    ],
+)
+def test_provenance_strings_are_pinned(spec, provenance):
+    task = tasks.synthetic_task("sphere", 3)
+    xs = tasks.sample_uniform(task, 5, seed=0).xs
+    assert embedders.build_embedder(spec, task).embed(xs).provenance == provenance

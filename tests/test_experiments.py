@@ -716,3 +716,37 @@ def test_paired_summaries_are_pinned(tmp_path, kind, sizes, expected):
     (exp_dir / "records.jsonl").write_text("".join(lines))
     experiments.regenerate_summaries(exp_dir)
     assert {name: (exp_dir / name).read_text() for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"train": {**FAST_TRAIN, "seed": 7}}, "seed.*`seeds`"),
+        ({"bins": 30}, "bins"),
+        ({"bins": 20}, "bins"),
+        ({"offline": [{"task": "t.json", "data": "d.csv", "famliy": "x"}]}, "offline entry.*famliy"),
+        ({"offline": [{"task": "t.json"}]}, "offline entry"),
+        ({"offline": [{"data": "d.csv", "family": "x"}]}, "offline entry"),
+        ({"offline": [{"task": "t.json", "data": "d.csv", "family": 3}]}, "offline entry"),
+        ({"offline": ["t.json"]}, "offline entry"),
+    ],
+)
+def test_config_rejects_values_nothing_reads(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        _cfg(**overrides)
+
+
+def test_missing_offline_table_fails_before_any_cell(tmp_path, monkeypatch):
+    from embreg import tasks
+
+    tasks.save_task(tasks.synthetic_task("sphere", 2), tmp_path / "task.json")
+    missing = tmp_path / "missing.csv"
+    monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
+    cfg = _cfg(
+        offline=[{"task": str(tmp_path / "task.json"), "data": str(missing), "family": "table"}],
+        embedders=[{"kind": "traditional"}, {"kind": "scrambled"}],
+        seeds=[0, 1, 2],
+    )
+    with pytest.raises(ValueError, match="missing.csv"):
+        experiments.run_comparison(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_adamw_zero_grad_is_fixed_point():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
     before = model.copy_weights()
-    zero = MlpModel(model.input_dim, model.hidden)
+    zero = MlpModel(model.input_dim)
     adamw_step(model, zero, lr=1e-3, weight_decay=0.0, state=state)
     for name, value in model.params().items():
         assert np.array_equal(value, before[name])
@@ -129,7 +131,7 @@ def test_adamw_decoupled_decay_shrinks():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
     before = model.copy_weights()
-    zero = MlpModel(model.input_dim, model.hidden)
+    zero = MlpModel(model.input_dim)
     adamw_step(model, zero, lr=1e-2, weight_decay=0.1, state=state)
     for name, value in model.params().items():
         assert np.allclose(value, before[name] * (1 - 1e-2 * 0.1))
@@ -138,7 +140,7 @@ def test_adamw_decoupled_decay_shrinks():
 def test_adamw_step_counter():
     model = init_model(2, seed=0)
     state = AdamState.init(model)
-    zero = MlpModel(model.input_dim, model.hidden)
+    zero = MlpModel(model.input_dim)
     for expected in (1, 2, 3):
         adamw_step(model, zero, 1e-3, 0.0, state)
         assert state.step == expected
@@ -147,7 +149,7 @@ def test_adamw_step_counter():
 def test_adamw_rejects_non_finite_gradient():
     model = init_model(2, seed=0)
     state = AdamState.init(model)
-    bad = MlpModel(model.input_dim, model.hidden)
+    bad = MlpModel(model.input_dim)
     bad.flat[:] = np.nan
     with pytest.raises(TrainingDivergedError):
         adamw_step(model, bad, 1e-3, 0.0, state)
@@ -416,3 +418,13 @@ def test_forward_reuses_workspaces_and_equals_the_oracle():
     assert model.workspaces[33] is buffers and len(model.workspaces) == 1
     assert np.array_equal(first, _oracle_forward(w, x))  # not overwritten by the later call
     assert np.array_equal(second, _oracle_forward(w, 2.0 * x))
+
+
+@pytest.mark.parametrize("width", [1, 128])
+def test_load_model_rejects_other_hidden_widths(tmp_path, width):
+    meta = {"version": mlp.MODEL_FORMAT_VERSION, "input_dim": 3, "mu": 0.0, "sigma": 1.0, "provenance": "x"}
+    shapes = {"w1": (3, width), "b1": (width,), "w2": (width, width), "b2": (width,), "w3": (width, 1), "b3": (1,)}
+    path = tmp_path / "model.npz"
+    np.savez(path, meta=json.dumps(meta), **{name: np.ones(shape) for name, shape in shapes.items()})
+    with pytest.raises(ValueError, match=r"w1 has shape \(3, %d\).*\(3, 256\)" % width):
+        mlp.load_model(path)
