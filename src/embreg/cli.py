@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from functools import partial, wraps
 from pathlib import Path
 
@@ -65,6 +66,7 @@ def _run_experiment(kind: str) -> None:
         raise click.UsageError("this subcommand requires --config")
     try:
         cfg = experiments.ExperimentConfig.from_file(ctx.obj["config_path"])
+        experiments.plan(kind, cfg)
     except (OSError, TypeError, ValueError) as e:
         raise click.BadParameter(str(e), param_hint="'--config'") from e
     exp_dir = experiments.run_experiment(
@@ -165,7 +167,7 @@ def train(ctx, instance, build, embedder, train_config):
     model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg)
     out = _out_dir()
     save_model(out / "model.npz", model, normalizer, provenance)
-    (out / "report.json").write_text(json.dumps(rep.as_dict(), indent=2) + "\n", encoding="utf-8")
+    (out / "report.json").write_text(json.dumps(asdict(rep), indent=2) + "\n", encoding="utf-8")
     click.echo(f"test kendall_tau={rep.metrics['kendall_tau']:.4f}; wrote {out / 'model.npz'}")
 
 
@@ -194,7 +196,8 @@ def nlfd_cmd(instance, build, embedder_a, embedder_b, bins, export_distances):
                 [list(r) for r in records],
             )
 
-    z = nlfd.nlfd_zscore(samples["a"], samples["b"]).z
+    a, b = samples["a"], samples["b"]
+    z = nlfd.zscore((a.mu, a.sigma), (b.mu, b.sigma))
     summaries = {t: {"mu": s.mu, "sigma": s.sigma, "n": s.n, "excluded": s.excluded_pairs} for t, s in samples.items()}
     payload = {"z": z, **summaries}
     (out / "nlfd_zscore.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -60,10 +60,14 @@ def tokenize(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
+def canonical_json(config: dict) -> str:
+    """The one JSON encoding of a config that is hashed or written: sorted keys, no spaces."""
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(config: dict) -> str:
     """Short stable digest of a backend config, used to pin provenance."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
 def _hash_seed(*parts: str) -> int:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bbob, metrics
-from .embedders import Embedder, build_embedder, check_spec, config_hash
+from .embedders import Embedder, build_embedder, canonical_json, check_spec, config_hash
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
@@ -95,9 +95,6 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return config_hash(asdict(self))
@@ -167,8 +164,9 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
             raise ValueError("this experiment supports synthetic tasks only")
         return instances
     for entry in cfg.offline:
-        if not Path(entry["data"]).is_file():
-            raise ValueError(f"offline data table {entry['data']!r} does not exist")
+        for key, what in (("task", "task file"), ("data", "data table")):
+            if not Path(entry[key]).is_file():
+                raise ValueError(f"offline {what} {entry[key]!r} does not exist")
         task = load_task(entry["task"])
         instances.append(
             TaskInstance(
@@ -561,13 +559,11 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
-    """Run the cells of one :data:`EXPERIMENTS` kind into
-    ``out_root/<kind>-<config hash>``, skipping completed ones unless
-    ``force``, then write its summaries and ``status.json``.
+def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
+    """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
-    Config mistakes (embedder count, offline or too few tasks) raise
-    ValueError before any cell runs.
+    Config mistakes (embedder count, offline or too few tasks, a missing
+    offline file) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
     low, high = exp.embedders
@@ -576,9 +572,19 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, work
     instances = enumerate_tasks(cfg, synthetic_only=exp.synthetic_only)
     if len(instances) < exp.min_tasks:
         raise ValueError(f"{kind} needs at least {exp.min_tasks} tasks")
+    return _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
+
+
+def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
+    """Run the cells of one :data:`EXPERIMENTS` kind into
+    ``out_root/<kind>-<config hash>``, skipping completed ones unless
+    ``force``, then write its summaries and ``status.json``.
+
+    Config mistakes raise ValueError from :func:`plan` before any cell runs.
+    """
+    cells = plan(kind, cfg)
     store = RunStore(Path(out_root) / f"{kind}-{cfg.config_hash()}")
-    (store.directory / "config.json").write_text(cfg.canonical_json() + "\n", encoding="utf-8")
-    cells = _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
+    (store.directory / "config.json").write_text(canonical_json(asdict(cfg)) + "\n", encoding="utf-8")
     _execute_cells(store, cells, force, workers, echo)
     _summarize(kind, store, echo)
     return store.directory

@@ -9,25 +9,11 @@ so they agree bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 
 class UndefinedMetricError(ValueError):
     """Metric has no defined value for these inputs (e.g. an all-tied series)."""
-
-
-@dataclass(frozen=True)
-class MetricBundle:
-    kendall_tau: float
-    spearman: float
-    pearson: float
-    mse: float
-    mae: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_lengths(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -170,14 +156,15 @@ def mae(y, yhat) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def bundle(y, yhat) -> MetricBundle:
-    return MetricBundle(
-        kendall_tau=kendall_tau(y, yhat),
-        spearman=spearman(y, yhat),
-        pearson=pearson(y, yhat),
-        mse=mse(y, yhat),
-        mae=mae(y, yhat),
-    )
+def bundle(y, yhat) -> dict[str, float]:
+    """Every metric of one prediction series, keyed by name in the order ``report.json`` lists them."""
+    return {
+        "kendall_tau": kendall_tau(y, yhat),
+        "spearman": spearman(y, yhat),
+        "pearson": pearson(y, yhat),
+        "mse": mse(y, yhat),
+        "mae": mae(y, yhat),
+    }
 
 
 def outperformance_rate(a_scores, b_scores) -> float:

@@ -10,12 +10,12 @@ runs in float64 and is deterministic given the config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embedders import EmbeddingMatrix
-from .metrics import MetricBundle, bundle
+from .metrics import bundle
 
 HIDDEN_WIDTH = 256
 ADAM_BETA1 = 0.9
@@ -242,9 +242,6 @@ class RegressionReport:
     epochs_run: int
     metrics: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _seed_for_cell(seed: int, lr_idx: int, wd_idx: int) -> int:
     return (seed * 1_000_003 + lr_idx * 101 + wd_idx) % (2**31 - 1)
@@ -337,7 +334,7 @@ def train(
     return best[1], normalizer, report
 
 
-def evaluate(model: MlpModel, normalizer: YNormalizer, features, y) -> MetricBundle:
+def evaluate(model: MlpModel, normalizer: YNormalizer, features, y) -> dict[str, float]:
     """Score denormalized predictions against raw targets."""
     preds = normalizer.denormalize(forward(model, features))
     return bundle(np.asarray(y, dtype=np.float64), preds)
@@ -350,7 +347,7 @@ def train_and_evaluate(
     cfg: TrainConfig | None = None,
 ) -> tuple[MlpModel, YNormalizer, RegressionReport]:
     model, normalizer, report = train(train_data, val_data, cfg)
-    report.metrics = evaluate(model, normalizer, test_data[0], test_data[1]).as_dict()
+    report.metrics = evaluate(model, normalizer, test_data[0], test_data[1])
     return model, normalizer, report
 
 

@@ -48,13 +48,6 @@ class NlfdSample:
         return int(self.factors.size)
 
 
-@dataclass(frozen=True)
-class NlfdComparison:
-    z: float
-    a_summary: tuple[float, float, int]  # (mu, sigma, n)
-    b_summary: tuple[float, float, int]
-
-
 def normalize_embeddings(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Shift and scale each coordinate to zero mean, unit variance over the
     batch. Near-constant coordinates are centered but left unscaled."""
@@ -120,15 +113,6 @@ def zscore(a: tuple[float, float], b: tuple[float, float]) -> float:
     if denom == 0.0:
         raise ValueError("z-score undefined: both samples have zero variance")
     return (mu_a - mu_b) / denom
-
-
-def nlfd_zscore(a: NlfdSample, b: NlfdSample) -> NlfdComparison:
-    """:func:`zscore` of two factor distributions, with their summaries."""
-    if a.n == 0 or b.n == 0:
-        raise ValueError("both samples must be non-empty")
-    return NlfdComparison(
-        z=zscore((a.mu, a.sigma), (b.mu, b.sigma)), a_summary=(a.mu, a.sigma, a.n), b_summary=(b.mu, b.sigma, b.n)
-    )
 
 
 def histogram(sample: NlfdSample, bins: int) -> list[tuple[tuple[float, float], int]]:

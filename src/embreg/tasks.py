@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -82,33 +82,18 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
-class TaskSource:
-    kind: str  # "synthetic" | "offline"
-    function: str | None = None
-    path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "synthetic":
-            if not self.function:
-                raise ValueError("synthetic source needs a function id")
-        elif self.kind == "offline":
-            pass  # path is optional; data may be supplied at ingest time
-        else:
-            raise ValueError(f"unknown source kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class RegressionTask:
     """An objective over an ordered parameter space.
 
     The declaration order of ``params`` is canonical: featurization and string
     serialization both follow it, so every representation of an input uses one
-    consistent key ordering.
+    consistent key ordering. ``function`` is the benchmark function's id; a
+    task without one is offline, its data read from a table.
     """
 
     id: str
     params: tuple[ParamSpec, ...]
-    source: TaskSource
+    function: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -118,8 +103,8 @@ class RegressionTask:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("param names must be unique within a task")
-        if self.source.kind == "synthetic":
-            bbob.get(self.source.function)  # unknown ids fail at construction
+        if self.function is not None:
+            bbob.get(self.function)  # unknown ids fail at construction
             for p in self.params:
                 if p.kind != CONTINUOUS or p.lo != bbob.LOWER_BOUND or p.hi != bbob.UPPER_BOUND:
                     raise ValueError(
@@ -146,40 +131,19 @@ def synthetic_task(function_id: str, dof: int, task_id: str | None = None) -> Re
     params = tuple(
         ParamSpec.continuous(f"x{i}", bbob.LOWER_BOUND, bbob.UPPER_BOUND) for i in range(dof)
     )
-    return RegressionTask(
-        id=task_id or f"{function_id}-dof{dof}",
-        params=params,
-        source=TaskSource(kind="synthetic", function=function_id),
-    )
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (input assignment, objective value) pair. Treat ``x`` as read-only."""
-
-    x: dict
-    y: float
+    return RegressionTask(id=task_id or f"{function_id}-dof{dof}", params=params, function=function_id)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    task_id: str
-    examples: tuple[LabeledExample, ...]
-    split: str | None = None
+    """Input assignments and their objective values, row for row. Treat each
+    ``xs`` dict as read-only."""
+
+    xs: tuple[dict, ...]
+    y: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    @property
-    def xs(self) -> list[dict]:
-        return [ex.x for ex in self.examples]
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.array([ex.y for ex in self.examples], dtype=np.float64)
+        return len(self.y)
 
 
 def validate_assignment(task: RegressionTask, x: dict, row: int | None = None) -> None:
@@ -203,32 +167,22 @@ def validate_assignment(task: RegressionTask, x: dict, row: int | None = None) -
                 raise ValidationError(f"param {p.name!r}: unknown choice {v!r}", row)
 
 
-def validate_example(task: RegressionTask, ex: LabeledExample, row: int | None = None) -> None:
-    validate_assignment(task, ex.x, row)
-    if not isinstance(ex.y, (int, float)) or isinstance(ex.y, bool) or not math.isfinite(ex.y):
-        raise ValidationError(f"y must be finite, got {ex.y!r}", row)
-
-
 def sample_uniform(task: RegressionTask, n: int, seed: int) -> Dataset:
     """Draw n inputs i.i.d. uniform over the box and evaluate the objective.
 
     Pure function of (task, n, seed): repeated calls return bit-identical data.
     """
-    if task.source.kind != "synthetic":
+    if task.function is None:
         raise UnsupportedSourceError("sample_uniform requires a synthetic task")
     if n < 1:
         raise ValueError("n must be >= 1")
-    fn = bbob.make(task.source.function, task.dof)
+    fn = bbob.make(task.function, task.dof)
     rng = np.random.default_rng(seed)
     lows = np.array([p.lo for p in task.params])
     highs = np.array([p.hi for p in task.params])
     points = rng.uniform(lows, highs, size=(n, task.dof))
     names = task.param_names
-    examples = tuple(
-        LabeledExample(x=dict(zip(names, row)), y=y)
-        for row, y in zip(points.tolist(), fn.evaluate_rows(points))
-    )
-    return Dataset(task_id=task.id, examples=examples)
+    return Dataset(xs=tuple(dict(zip(names, row)) for row in points.tolist()), y=tuple(fn.evaluate_rows(points)))
 
 
 def split_dataset(
@@ -238,7 +192,7 @@ def split_dataset(
 
     Partition sizes are floor(n * ratio) for validation and test, with the
     remainder going to train. The three outputs are disjoint and together
-    contain every input example exactly once.
+    contain every input row exactly once.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
@@ -250,17 +204,9 @@ def split_dataset(
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise SplitError(f"split {ratios} of {n} examples leaves an empty partition")
-    perm = np.random.default_rng(seed).permutation(n)
-    shuffled = [ds.examples[i] for i in perm]
-    parts = (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_val],
-        shuffled[n_train + n_val :],
-    )
-    return tuple(
-        replace(ds, examples=tuple(part), split=tag)
-        for part, tag in zip(parts, ("train", "validation", "test"))
-    )
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    parts = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
+    return tuple(Dataset(xs=tuple(ds.xs[i] for i in part), y=tuple(ds.y[i] for i in part)) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +220,7 @@ def task_to_dict(task: RegressionTask) -> dict:
             params.append({"name": p.name, "kind": p.kind, "lo": p.lo, "hi": p.hi})
         else:
             params.append({"name": p.name, "kind": p.kind, "choices": list(p.choices)})
-    source = {"kind": task.source.kind}
-    if task.source.function is not None:
-        source["function"] = task.source.function
-    if task.source.path is not None:
-        source["path"] = task.source.path
+    source = {"kind": "offline"} if task.function is None else {"kind": "synthetic", "function": task.function}
     return {"id": task.id, "params": params, "source": source}
 
 
@@ -290,12 +232,16 @@ def task_from_dict(d: dict) -> RegressionTask:
                 params.append(ParamSpec.continuous(p["name"], p["lo"], p["hi"]))
             else:
                 params.append(ParamSpec.categorical(p["name"], p["choices"]))
-        source = TaskSource(
-            kind=d["source"]["kind"],
-            function=d["source"].get("function"),
-            path=d["source"].get("path"),
-        )
-        return RegressionTask(id=d["id"], params=tuple(params), source=source)
+        source = d["source"]
+        if source == {"kind": "offline"}:
+            function = None
+        elif (isinstance(source, dict) and source.keys() == {"kind", "function"}
+              and source["kind"] == "synthetic" and isinstance(source["function"], str)):
+            function = source["function"]
+        else:
+            shapes = '{"kind": "offline"} or {"kind": "synthetic", "function": <id>}'
+            raise SchemaError(f"task source must be {shapes}, got {source!r}")
+        return RegressionTask(id=d["id"], params=tuple(params), function=function)
     except KeyError as e:
         raise SchemaError(f"task spec missing field: {e}") from None
 
@@ -336,7 +282,7 @@ def ingest_offline(path, task: RegressionTask) -> Dataset:
             raise SchemaError(f"missing param columns: {sorted(missing)}")
         specs = {p.name: p for p in task.params}
 
-        examples = []
+        xs, ys = [], []
         for i, cells in enumerate(reader, start=1):
             if len(cells) != len(header):
                 raise ValidationError(f"expected {len(header)} cells, got {len(cells)}", row=i)
@@ -355,10 +301,12 @@ def ingest_offline(path, task: RegressionTask) -> Dataset:
                 y = float(cells[-1])
             except ValueError:
                 raise ValidationError(f"y is not a number: {cells[-1]!r}", row=i) from None
-            ex = LabeledExample(x=x, y=y)
-            validate_example(task, ex, row=i)
-            examples.append(ex)
-    return Dataset(task_id=task.id, examples=tuple(examples))
+            validate_assignment(task, x, row=i)
+            if not math.isfinite(y):
+                raise ValidationError(f"y must be finite, got {y!r}", row=i)
+            xs.append(x)
+            ys.append(y)
+    return Dataset(xs=tuple(xs), y=tuple(ys))
 
 
 def write_dataset_csv(ds: Dataset, task: RegressionTask, path) -> None:
@@ -366,6 +314,6 @@ def write_dataset_csv(ds: Dataset, task: RegressionTask, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(list(task.param_names) + ["y"])
-        for ex in ds.examples:
-            row = [repr(ex.x[p.name]) if p.kind == CONTINUOUS else ex.x[p.name] for p in task.params]
-            writer.writerow(row + [repr(ex.y)])
+        for x, y in zip(ds.xs, ds.y):
+            row = [repr(x[p.name]) if p.kind == CONTINUOUS else x[p.name] for p in task.params]
+            writer.writerow(row + [repr(y)])

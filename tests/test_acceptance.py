@@ -22,7 +22,7 @@ from embreg.cli import main
 from embreg.featurize import StringFormat, serialize
 from embreg.metrics import UndefinedMetricError
 from embreg.remote import RemoteEmbedder, TransportError
-from embreg.tasks import ParamSpec, RegressionTask, TaskSource
+from embreg.tasks import ParamSpec, RegressionTask
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,7 +157,7 @@ def test_c5_nlfd_trivia():
     m = embedders.embed_traditional(task, ds.xs)
     sample = nlfd.nlfd_sample(m, ds.y)
 
-    assert nlfd.nlfd_zscore(sample, sample).z == 0.0
+    assert nlfd.zscore((sample.mu, sample.sigma), (sample.mu, sample.sigma)) == 0.0
 
     scaled = nlfd.nlfd_sample(
         embedders.EmbeddingMatrix(values=m.values * 1000.0, provenance="s"), ds.y
@@ -200,7 +200,8 @@ def test_c6_smoothness_gap_tracks_performance_gap():
             )
             taus[kind] = report.metrics["kendall_tau"]
             samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs), ds.y)
-        zs.append(nlfd.nlfd_zscore(samples["traditional"], samples["scrambled"]).z)
+        a, b = samples["traditional"], samples["scrambled"]
+        zs.append(nlfd.zscore((a.mu, a.sigma), (b.mu, b.sigma)))
         gaps.append(taus["scrambled"] - taus["traditional"])
 
     agreements = sum(1 for z, g in zip(zs, gaps) if np.sign(z) == np.sign(g))
@@ -239,7 +240,6 @@ def test_c7_serialization_golden_files():
             ParamSpec.continuous("dropout", 0, 1),
             ParamSpec.continuous("hidden_units", 1, 2048),
         ),
-        source=TaskSource(kind="offline"),
     )
     automl_x = {
         "batch_size": 128.0,
@@ -262,7 +262,6 @@ def test_c7_serialization_golden_files():
             ParamSpec.continuous("opt_hparams.0.hps.one_minus_b2", 0, 1),
             ParamSpec.continuous("opt_hparams.1.hps.weight_decay", 0, 1),
         ),
-        source=TaskSource(kind="offline"),
     )
     init2winit_x = {
         "lr_hparams.base_lr": 0.0696,
@@ -280,7 +279,6 @@ def test_c7_serialization_golden_files():
             ParamSpec.continuous("rematerialization_percent_shared_memory_limit", 0, 100),
             ParamSpec.continuous("spmd_threshold_for_windowed_einsum_mib", 0, 1e6),
         ),
-        source=TaskSource(kind="offline"),
     )
     xla_x = {
         "auto_cross_replica_sharding": "False",
@@ -297,7 +295,6 @@ def test_c7_serialization_golden_files():
             ParamSpec.continuous("io_bandwidth_gbps", 0, 100),
             ParamSpec.continuous("narrow_memory_capacity_bytes", 0, 64),
         ),
-        source=TaskSource(kind="offline"),
     )
     l2da_x = {
         "input_activation_memory_depth": 11.0,

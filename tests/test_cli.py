@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,47 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--config'" in result.output
     assert not (tmp_path / "runs").exists()
+
+
+TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, message",
+    [
+        ("compare", {}, "compare needs at least 2 embedder specs"),
+        ("sweep-dof", {"offline": {}}, "this experiment supports synthetic tasks only"),
+        ("nlfd-corr", {"embedders": TWO_SPECS}, "nlfd-corr needs at least 3 tasks"),
+        ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}}, "offline task file '.*nope.json'"),
+        ("compare", {"embedders": TWO_SPECS, "offline": {"data": "nope.csv"}}, "offline data table '.*nope.csv'"),
+    ],
+)
+def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, kind, overrides, message):
+    if "offline" in overrides:  # a sampled table, with the named file swapped for a missing one
+        task_file, data_file = _sampled(runner, tmp_path)
+        entry = {"task": str(task_file), "data": str(data_file)}
+        entry.update({k: str(tmp_path / v) for k, v in overrides["offline"].items()})
+        overrides = {**overrides, "offline": [entry]}
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), kind])
+    assert result.exit_code == 2, result.output
+    assert re.search(f"Error: Invalid value for '--config': {message}", result.output), result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_train_report_keeps_its_key_order(runner, tmp_path):
+    task_file, data_file = _sampled(runner, tmp_path)
+    out = tmp_path / "model"
+    result = runner.invoke(
+        main,
+        ["--out", str(out), "train", "--task", str(task_file), "--data", str(data_file),
+         "--embedder", "traditional", "--train-config", json.dumps(FAST_TRAIN)],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == ["sweep", "chosen_lr", "chosen_wd", "epochs_run", "metrics"]
+    assert list(report["metrics"]) == ["kendall_tau", "spearman", "pearson", "mse", "mae"]
 
 
 def test_embedding_errors_still_propagate(runner, tmp_path, monkeypatch):

@@ -217,7 +217,6 @@ def test_embed_traditional_shape_and_rows():
             tasks.ParamSpec.continuous("b", 0, 1),
             tasks.ParamSpec.categorical("c", ["u", "v", "w"]),
         ),
-        source=tasks.TaskSource(kind="offline"),
     )
     xs = [{"a": 0.5, "b": 0.25, "c": "v"}, {"a": 0.0, "b": 1.0, "c": "u"}, {"a": 1.0, "b": 0.0, "c": "w"}]
     out = embedders.embed_traditional(task, xs)

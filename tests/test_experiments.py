@@ -237,7 +237,7 @@ def test_data_scaling_rejects_offline_tasks_before_any_cell(tmp_path, monkeypatc
     from embreg import tasks
 
     task = tasks.synthetic_task("sphere", 2)
-    offline_task = tasks.RegressionTask(id="offline-sphere", params=task.params, source=tasks.TaskSource(kind="offline"))
+    offline_task = tasks.RegressionTask(id="offline-sphere", params=task.params)
     tasks.save_task(offline_task, tmp_path / "task.json")
     tasks.write_dataset_csv(tasks.sample_uniform(task, 60, seed=5), offline_task, tmp_path / "data.csv")
     monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
@@ -248,6 +248,18 @@ def test_data_scaling_rejects_offline_tasks_before_any_cell(tmp_path, monkeypatc
     )
     with pytest.raises(ValueError, match="synthetic"):
         experiments.run_data_scaling(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_offline_task_file_is_rejected_before_any_cell(tmp_path, monkeypatch):
+    from embreg import tasks
+
+    task = tasks.synthetic_task("sphere", 2)
+    tasks.write_dataset_csv(tasks.sample_uniform(task, 40, seed=5), task, tmp_path / "data.csv")
+    monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
+    cfg = _cfg(offline=[{"task": str(tmp_path / "nope.json"), "data": str(tmp_path / "data.csv")}])
+    with pytest.raises(ValueError, match=r"offline task file '.*nope\.json' does not exist"):
+        experiments.run_ablation(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -302,7 +314,6 @@ def test_offline_tasks_flow_through_comparison(tmp_path):
     offline_task = tasks.RegressionTask(
         id="offline-sphere",
         params=task.params,
-        source=tasks.TaskSource(kind="offline"),
     )
     tasks.save_task(offline_task, tmp_path / "task.json")
     tasks.write_dataset_csv(ds, offline_task, tmp_path / "data.csv")

@@ -3,7 +3,7 @@ import pytest
 
 from embreg import featurize, tasks
 from embreg.featurize import StringFormat
-from embreg.tasks import ParamSpec, RegressionTask, TaskSource
+from embreg.tasks import ParamSpec, RegressionTask
 
 
 def _mixed_task():
@@ -14,7 +14,6 @@ def _mixed_task():
             ParamSpec.continuous("b", 0.0, 10.0),
             ParamSpec.categorical("c", ["p", "q", "r"]),
         ),
-        source=TaskSource(kind="offline"),
     )
 
 
@@ -75,7 +74,6 @@ def test_serialize_categorical_quoting():
             ParamSpec.categorical("activation_fn", ["selu", "relu"]),
             ParamSpec.categorical("batch_norm", ["True", "False"]),
         ),
-        source=TaskSource(kind="offline"),
     )
     x = {"activation_fn": "selu", "batch_norm": "False"}
     assert featurize.serialize(task, x) == "{activation_fn:'selu',batch_norm:'False'}"

@@ -1,16 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from embreg import tasks
 from embreg.tasks import (
-    Dataset,
-    LabeledExample,
     ParamSpec,
     RegressionTask,
     SchemaError,
     SplitError,
-    TaskSource,
     UnsupportedSourceError,
     ValidationError,
 )
@@ -32,7 +32,6 @@ def test_task_requires_unique_param_names():
         RegressionTask(
             id="t",
             params=(ParamSpec.continuous("a", 0, 1), ParamSpec.continuous("a", 0, 1)),
-            source=TaskSource(kind="offline"),
         )
 
 
@@ -48,7 +47,7 @@ def test_synthetic_task_rejects_bad_bounds():
         RegressionTask(
             id="t",
             params=(ParamSpec.continuous("a", 0, 1),),
-            source=TaskSource(kind="synthetic", function="sphere"),
+            function="sphere",
         )
 
 
@@ -56,9 +55,9 @@ def test_sample_uniform_values_and_domain():
     t = tasks.synthetic_task("sphere", 2)
     ds = tasks.sample_uniform(t, 3, seed=7)
     assert len(ds) == 3
-    for ex in ds:
-        assert all(-5.0 <= v <= 5.0 for v in ex.x.values())
-        assert ex.y == sum(v * v for v in ex.x.values())
+    for x, y in zip(ds.xs, ds.y):
+        assert all(-5.0 <= v <= 5.0 for v in x.values())
+        assert y == sum(v * v for v in x.values())
 
 
 def test_sample_uniform_deterministic():
@@ -75,14 +74,14 @@ def test_sample_uniform_coordinate_means_near_zero():
     # empirical mean well within 0.5.
     t = tasks.synthetic_task("rastrigin", 10)
     ds = tasks.sample_uniform(t, 500, seed=1)
-    coords = np.array([[ex.x[name] for name in t.param_names] for ex in ds])
+    coords = np.array([[x[name] for name in t.param_names] for x in ds.xs])
     assert np.all(np.abs(coords.mean(axis=0)) < 0.5)
 
 
 def test_sample_uniform_coverage():
     t = tasks.synthetic_task("sphere", 3)
     ds = tasks.sample_uniform(t, 10_000, seed=3)
-    coords = np.array([[ex.x[name] for name in t.param_names] for ex in ds])
+    coords = np.array([[x[name] for name in t.param_names] for x in ds.xs])
     assert np.all(coords.min(axis=0) < -4.9)
     assert np.all(coords.max(axis=0) > 4.9)
 
@@ -91,7 +90,6 @@ def test_sample_uniform_rejects_offline_task():
     t = RegressionTask(
         id="off",
         params=(ParamSpec.continuous("a", 0, 1),),
-        source=TaskSource(kind="offline"),
     )
     with pytest.raises(UnsupportedSourceError):
         tasks.sample_uniform(t, 5, seed=0)
@@ -102,7 +100,6 @@ def test_split_sizes_500():
     ds = tasks.sample_uniform(t, 500, seed=0)
     tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=3)
     assert (len(tr), len(va), len(te)) == (400, 50, 50)
-    assert (tr.split, va.split, te.split) == ("train", "validation", "test")
 
 
 def test_split_sizes_10():
@@ -137,9 +134,9 @@ def test_split_partition_property(n, seed):
     ds = tasks.sample_uniform(t, n, seed=0)
     tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=seed)
     assert len(tr) + len(va) + len(te) == n
-    key = lambda ex: tuple(sorted(ex.x.items())) + (ex.y,)
-    merged = sorted(map(key, list(tr) + list(va) + list(te)))
-    assert merged == sorted(map(key, ds))
+    key = lambda x, y: tuple(sorted(x.items())) + (y,)
+    merged = sorted(key(x, y) for part in (tr, va, te) for x, y in zip(part.xs, part.y))
+    assert merged == sorted(key(x, y) for x, y in zip(ds.xs, ds.y))
 
 
 def _categorical_task():
@@ -149,7 +146,6 @@ def _categorical_task():
             ParamSpec.continuous("lr", 0.0, 1.0),
             ParamSpec.categorical("act", ["relu", "tanh"]),
         ),
-        source=TaskSource(kind="offline"),
     )
 
 
@@ -160,18 +156,19 @@ def test_ingest_offline_roundtrip(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     ds = tasks.ingest_offline(path, task)
     assert len(ds) == 10
-    assert ds.examples[0].x == {"lr": 0.1, "act": "relu"}
-    assert ds.examples[-1].y == 10.5
+    assert ds.xs[0] == {"lr": 0.1, "act": "relu"}
+    assert ds.y[-1] == 10.5
 
 
 def test_ingest_offline_names_bad_row(tmp_path):
     task = _categorical_task()
     path = tmp_path / "data.csv"
-    rows = ["lr,act,y"] + [f"0.{i},relu,{i}" for i in range(1, 10)]
-    rows[7] = "0.7,relu,NaN"
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValidationError, match="row 7"):
-        tasks.ingest_offline(path, task)
+    for y in ("NaN", "inf"):
+        rows = ["lr,act,y"] + [f"0.{i},relu,{i}" for i in range(1, 10)]
+        rows[7] = f"0.7,relu,{y}"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match="row 7: y must be finite"):
+            tasks.ingest_offline(path, task)
 
 
 def test_ingest_offline_unknown_column(tmp_path):
@@ -212,7 +209,7 @@ def test_dataset_csv_roundtrip(tmp_path):
     path = tmp_path / "data.csv"
     tasks.write_dataset_csv(ds, t, path)
     back = tasks.ingest_offline(path, t)
-    assert back.examples == ds.examples
+    assert back.xs == ds.xs and back.y == ds.y
 
 
 def test_task_file_roundtrip(tmp_path):
@@ -230,25 +227,18 @@ def test_validate_assignment_errors():
         tasks.validate_assignment(task, {"lr": 0.5, "act": "relu", "zz": 1})
     with pytest.raises(ValidationError, match="outside"):
         tasks.validate_assignment(task, {"lr": 1.5, "act": "relu"})
-    with pytest.raises(ValidationError, match="finite"):
-        tasks.validate_example(
-            task, LabeledExample(x={"lr": 0.5, "act": "relu"}, y=float("inf"))
-        )
 
 
 def test_sample_uniform_equals_per_row_evaluation():
-    """The bulk path builds the same examples the per-row loop did."""
+    """The bulk path builds the same rows the per-row loop did."""
     for fid, dof in (("rastrigin", 7), ("sharp_ridge", 3)):
         t = tasks.synthetic_task(fid, dof)
         ds = tasks.sample_uniform(t, 300, seed=5)
         fn = tasks.bbob.make(fid, dof)
         points = np.random.default_rng(5).uniform(-5.0, 5.0, size=(300, dof))
-        expected = tuple(
-            LabeledExample(x={p.name: float(v) for p, v in zip(t.params, row)}, y=fn.evaluate(row))
-            for row in points
-        )
-        assert ds.examples == expected
-        assert all(list(ex.x) == list(t.param_names) for ex in ds)
+        assert ds.xs == tuple({p.name: float(v) for p, v in zip(t.params, row)} for row in points)
+        assert ds.y == tuple(fn.evaluate(row) for row in points)
+        assert all(list(x) == list(t.param_names) for x in ds.xs)
 
 
 def test_task_caches_its_param_names():
@@ -260,3 +250,37 @@ def test_task_caches_its_param_names():
         tasks.validate_assignment(t, {"x0": 0.0, "x1": 0.0, "x2": 0.0, "zz": 1.0})
     with pytest.raises(ValidationError, match=r"missing params: \['x1', 'x2'\]"):
         tasks.validate_assignment(t, {"x0": 0.0})
+
+
+def test_task_file_bytes_are_pinned(tmp_path):
+    tasks.save_task(tasks.synthetic_task("sphere", 3), tmp_path / "task.json")
+    params = [{"name": f"x{i}", "kind": "continuous", "lo": -5.0, "hi": 5.0} for i in range(3)]
+    expected = {"id": "sphere-dof3", "params": params, "source": {"kind": "synthetic", "function": "sphere"}}
+    assert (tmp_path / "task.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_dataset_csv_bytes_are_pinned(tmp_path):
+    t = tasks.synthetic_task("rastrigin", 3)
+    tasks.write_dataset_csv(tasks.sample_uniform(t, 25, seed=9), t, tmp_path / "data.csv")
+    data = (tmp_path / "data.csv").read_bytes()
+    assert data.startswith(b"x0,x1,x2,y\n3.7024920397008465,-2.1318279091244463,1.0314815005156186,35.69166949473485\n")
+    assert hashlib.sha256(data).hexdigest() == "592fdf6ee66980a0287032961cfb57fd5674fc6808318a5422396a89698c4978"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        {"kind": "offline", "function": "sphere"},
+        {"kind": "offline", "path": "x.csv"},
+        {"kind": "table"},
+        {"kind": "synthetic"},
+        {"kind": "synthetic", "function": 3},
+        {"function": "sphere"},
+        "offline",
+    ],
+)
+def test_task_from_dict_rejects_other_source_shapes(source):
+    d = tasks.task_to_dict(tasks.synthetic_task("sphere", 2))
+    with pytest.raises(SchemaError, match="task source must be") as info:
+        tasks.task_from_dict({**d, "source": source})
+    assert repr(source) in str(info.value)
