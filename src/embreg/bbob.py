@@ -22,7 +22,7 @@ class OutOfDomainError(ValueError):
     """A coordinate falls outside [-5, 5]."""
 
 
-class UnknownFunctionError(KeyError):
+class UnknownFunctionError(ValueError):
     """Requested function id is not registered."""
 
 

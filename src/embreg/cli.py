@@ -81,11 +81,9 @@ for _kind, _experiment in experiments.EXPERIMENTS.items():
 
 @main.command()
 @click.argument("exp_dir", type=click.Path(exists=True))
-@click.option("--clamp-kendall", is_flag=True,
-              help="Clip displayed kendall_tau into [0, 1]; records keep raw values.")
-def report(exp_dir, clamp_kendall):
+def report(exp_dir):
     """Rebuild summary CSVs from an experiment directory's records."""
-    experiments.regenerate_summaries(exp_dir, clamp_kendall=clamp_kendall)
+    experiments.regenerate_summaries(exp_dir)
     click.echo(f"summaries regenerated in {exp_dir}")
 
 
@@ -159,12 +157,12 @@ def train(ctx, instance, build, embedder, train_config):
     """Train the MLP head on an embedded dataset; writes model.npz + report.json."""
     seed = ctx.obj["seed"]
     try:
-        cfg = TrainConfig.from_overrides(json.loads(train_config) if train_config else {}, seed)
+        cfg = TrainConfig.from_overrides(json.loads(train_config) if train_config else {})
     except (TypeError, ValueError) as e:
         raise click.BadParameter(str(e), param_hint="'--train-config'") from e
     _, parts = experiments._sample_and_split(instance, 0, seed)  # an offline table keeps all its rows
     _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
-    model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg)
+    model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg, seed)
     out = _out_dir()
     save_model(out / "model.npz", model, normalizer, provenance)
     (out / "report.json").write_text(json.dumps(asdict(rep), indent=2) + "\n", encoding="utf-8")

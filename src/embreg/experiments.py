@@ -19,7 +19,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import combinations, product
 from operator import itemgetter
@@ -55,25 +55,34 @@ class ExperimentConfig:
     embedders: tuple[dict, ...] = ({"kind": "traditional"},)
     n_samples: int = 500
     seeds: tuple[int, ...] = tuple(range(12))
-    string_format: dict = field(
-        default_factory=lambda: {"variant": "full_dict", "float_precision": 4}
-    )
-    train: dict = field(default_factory=dict)
+    string_format: StringFormat = StringFormat()
+    train: TrainConfig = TrainConfig()
     sizes: tuple[int, ...] = (50, 100, 200, 400)
-    bins: int = 20  # read by nothing and not settable; kept so that config_hash stays put
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """Check and resolve a config: ``string_format`` and ``train`` become
+        their dataclasses, so every spelling of one experiment compares (and
+        hashes) equal. Mistakes raise ValueError."""
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "bins" in d:
-            raise ValueError("config field 'bins' is read by nothing and cannot be set")
         coerced = dict(d)
         for key in ("functions", "dofs", "seeds", "sizes", "embedders", "offline"):
             if key in coerced:
                 coerced[key] = tuple(coerced[key])
+        for function_id in coerced.get("functions", ()):
+            bbob.get(function_id)
+        if "string_format" in coerced:
+            fmt = coerced["string_format"]
+            if not isinstance(fmt, dict):
+                raise ValueError(f"string_format must be an object, got {fmt!r}")
+            unknown = set(fmt) - set(StringFormat.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown string_format keys: {sorted(unknown)}")
+            coerced["string_format"] = StringFormat(**fmt)
+        if "train" in coerced:
+            coerced["train"] = TrainConfig.from_overrides(coerced["train"])
         for spec in coerced.get("embedders", ()):
             check_spec(spec)
         for entry in coerced.get("offline", ()):
@@ -81,8 +90,6 @@ class ExperimentConfig:
                     and all(isinstance(v, str) for v in entry.values())):
                 raise ValueError(f"an offline entry takes string task and data and an optional family, got {entry!r}")
         cfg = cls(**coerced)
-        cfg.fmt()
-        TrainConfig.from_overrides(cfg.train)
         too_small = [n for n in (cfg.n_samples, *cfg.sizes) if n < MIN_SAMPLES]
         if too_small:
             raise ValueError(
@@ -98,15 +105,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return config_hash(asdict(self))
-
-    def fmt(self) -> StringFormat:
-        """``string_format`` as a :class:`StringFormat`; unknown keys raise ValueError."""
-        if not isinstance(self.string_format, dict):
-            raise ValueError(f"string_format must be an object, got {self.string_format!r}")
-        unknown = set(self.string_format) - set(StringFormat.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown string_format keys: {sorted(unknown)}")
-        return StringFormat(**self.string_format)
 
 
 class RunStore:
@@ -275,7 +273,7 @@ def run_cell(
     seed: int,
     n_samples: int,
     fmt: StringFormat,
-    train_overrides: dict,
+    train: TrainConfig,
     slot: int = 0,
     share: InputShare | None = None,
 ) -> dict:
@@ -302,8 +300,7 @@ def run_cell(
         share.release(keys)
     (m_train, m_val, m_test), (y_train, y_val, y_test) = matrices, [part.y for part in parts]
 
-    cfg = TrainConfig.from_overrides(train_overrides, seed)
-    _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), cfg)
+    _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), train, seed)
 
     pooled = EmbeddingMatrix(
         values=np.vstack([m_train.values, m_val.values, m_test.values]),
@@ -391,7 +388,7 @@ def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=No
     entry lives across adjacent cells only.
     """
     sizes = sizes if sizes is not None else [cfg.n_samples]
-    base = cfg.fmt()
+    base = cfg.string_format
     fmts = [replace(base, variant=v) for v in (variants if variants is not None else [base.variant])]
     families: dict = {}
     for instance in instances:
@@ -406,7 +403,7 @@ def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=No
                 "seed": seed,
                 "n_samples": size,
                 "fmt": fmt,
-                "train_overrides": cfg.train,
+                "train": cfg.train,
             },
         )
         for family in families.values()
@@ -611,18 +608,10 @@ def _summarize(kind: str, store: RunStore, echo=None) -> None:
         echo(f"warning: {len(failed)} cells failed; see status.json")
 
 
-def regenerate_summaries(exp_dir, clamp_kendall: bool = False) -> None:
+def regenerate_summaries(exp_dir) -> None:
     """Rebuild summary CSVs for an existing experiment directory, whose
-    ``<kind>-<config hash>`` name gives the experiment kind.
-
-    ``clamp_kendall`` clips displayed kendall_tau values into [0, 1]; the
-    stored records always keep the raw signed values.
-    """
+    ``<kind>-<config hash>`` name gives the experiment kind."""
     kind = Path(exp_dir).name.rsplit("-", 1)[0]
     if kind not in EXPERIMENTS:
         raise ValueError(f"cannot infer experiment type from directory name {Path(exp_dir).name!r}")
-    store = RunStore(exp_dir)
-    if clamp_kendall:
-        for rec in store.ok_records():
-            rec["kendall_tau"] = min(1.0, max(0.0, rec["kendall_tau"]))
-    _summarize(kind, store)
+    _summarize(kind, RunStore(exp_dir))

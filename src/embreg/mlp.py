@@ -4,7 +4,7 @@ The architecture is fixed at two ReLU hidden layers; only the input width
 varies with the feature representation. Training normalizes targets with
 train-split statistics, sweeps a learning-rate x weight-decay grid, applies
 validation-based early stopping, and restores the best weights seen. All of it
-runs in float64 and is deterministic given the config seed.
+runs in float64 and is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ class TrainConfig:
     max_epochs: int = 300
     patience: int = 20
     batch_size: int = 256
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rates or not self.weight_decays:
@@ -223,15 +222,15 @@ class TrainConfig:
             raise ValueError("max_epochs, patience and batch_size must be integers >= 1")
 
     @classmethod
-    def from_overrides(cls, overrides: dict | None, seed: int = 0) -> "TrainConfig":
+    def from_overrides(cls, overrides: dict | None) -> "TrainConfig":
         overrides = dict(overrides or {})
         if "seed" in overrides:
-            raise ValueError("the training seed cannot be overridden: it comes from `seeds` (--seed in the CLI)")
+            raise ValueError("train takes no 'seed': the seed comes from `seeds` (--seed in the CLI)")
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown train fields: {sorted(unknown)}")
         grids = {k: tuple(overrides[k]) for k in ("learning_rates", "weight_decays") if k in overrides}
-        return cls(**{**overrides, **grids}, seed=seed)
+        return cls(**{**overrides, **grids})
 
 
 @dataclass
@@ -291,13 +290,15 @@ def train(
     train_data: tuple,
     val_data: tuple,
     cfg: TrainConfig | None = None,
+    seed: int = 0,
 ) -> tuple[MlpModel, YNormalizer, RegressionReport]:
     """Sweep the hyperparameter grid, early-stop each cell on validation MSE,
     and return the best cell's weights at its best epoch.
 
     ``train_data`` and ``val_data`` are (features, y) pairs; targets are
     normalized internally with train-split statistics. Deterministic given
-    ``cfg.seed``: every cell starts from the same seeded init.
+    ``seed``: every cell starts from the same init seeded by it, and cell
+    ``(i, j)`` shuffles minibatches with ``_seed_for_cell(seed, i, j)``.
     """
     cfg = cfg or TrainConfig()
     x, y = _as_array(train_data[0]), np.asarray(train_data[1], dtype=np.float64)
@@ -311,13 +312,13 @@ def train(
 
     sweep: list[dict] = []
     best = None  # (val_mse, weights, epochs, lr, wd)
-    model = init_model(x.shape[1], seed=cfg.seed)
+    model = init_model(x.shape[1], seed=seed)
     init = model.copy_weights()
     for i, lr in enumerate(cfg.learning_rates):
         for j, wd in enumerate(cfg.weight_decays):
             model.load_weights(init)
             val_mse, weights, epochs = _train_one_cell(
-                model, x, y_norm, xv, yv_norm, lr, wd, cfg, _seed_for_cell(cfg.seed, i, j)
+                model, x, y_norm, xv, yv_norm, lr, wd, cfg, _seed_for_cell(seed, i, j)
             )
             sweep.append(
                 {"lr": lr, "weight_decay": wd, "val_mse": float(val_mse), "epochs": epochs}
@@ -345,8 +346,9 @@ def train_and_evaluate(
     val_data: tuple,
     test_data: tuple,
     cfg: TrainConfig | None = None,
+    seed: int = 0,
 ) -> tuple[MlpModel, YNormalizer, RegressionReport]:
-    model, normalizer, report = train(train_data, val_data, cfg)
+    model, normalizer, report = train(train_data, val_data, cfg, seed)
     report.metrics = evaluate(model, normalizer, test_data[0], test_data[1])
     return model, normalizer, report
 

@@ -103,7 +103,7 @@ def _train_tau(function: str, dof: int, seed: int, cfg: mlp.TrainConfig,
     tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed)
     emb = embedders.build_embedder(embedder_spec or {"kind": "traditional"}, task)
     _, _, report = mlp.train_and_evaluate(
-        (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg
+        (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg, seed
     )
     return report.metrics["kendall_tau"]
 
@@ -114,7 +114,7 @@ def _train_tau(function: str, dof: int, seed: int, cfg: mlp.TrainConfig,
 def test_c3_training_sanity_full_sweep_grid():
     """Full 5x3 hyperparameter grid reaches tau >= 0.90 on an easy bowl."""
     started = time.time()
-    cfg = mlp.TrainConfig(seed=0)  # defaults: the full 15-cell grid, 300 epochs
+    cfg = mlp.TrainConfig()  # defaults: the full 15-cell grid, 300 epochs
     assert len(cfg.learning_rates) * len(cfg.weight_decays) == 15
     tau = _train_tau("sphere", 2, seed=0, cfg=cfg)
     elapsed = time.time() - started
@@ -131,14 +131,13 @@ def test_c4_dimensional_degradation_trend():
     started = time.time()
     seeds = range(12)
 
-    def cfg(seed):
-        return mlp.TrainConfig(
-            learning_rates=(1e-3, 5e-3), weight_decays=(0.0,),
-            max_epochs=200, patience=20, seed=seed,
-        )
+    cfg = mlp.TrainConfig(
+        learning_rates=(1e-3, 5e-3), weight_decays=(0.0,),
+        max_epochs=200, patience=20,
+    )
 
-    low = np.mean([_train_tau("rastrigin", 5, s, cfg(s)) for s in seeds])
-    high = np.mean([_train_tau("rastrigin", 100, s, cfg(s)) for s in seeds])
+    low = np.mean([_train_tau("rastrigin", 5, s, cfg) for s in seeds])
+    high = np.mean([_train_tau("rastrigin", 100, s, cfg) for s in seeds])
     elapsed = time.time() - started
     drop = low - high
     assert drop >= 0.15
@@ -184,7 +183,7 @@ def test_c6_smoothness_gap_tracks_performance_gap():
     started = time.time()
     cfg = mlp.TrainConfig(
         learning_rates=(1e-3, 5e-3), weight_decays=(0.0,),
-        max_epochs=200, patience=20, seed=0,
+        max_epochs=200, patience=20,
     )
     zs, gaps = [], []
     for function in CATALOG:
@@ -196,7 +195,7 @@ def test_c6_smoothness_gap_tracks_performance_gap():
             emb = embedders.build_embedder({"kind": kind}, task)
             _, _, report = mlp.train_and_evaluate(
                 (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y),
-                (emb.embed(te.xs), te.y), cfg,
+                (emb.embed(te.xs), te.y), cfg, seed=0,
             )
             taus[kind] = report.metrics["kendall_tau"]
             samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs), ds.y)

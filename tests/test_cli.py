@@ -154,10 +154,12 @@ def test_report_command(runner, tmp_path):
     )
     assert result.exit_code == 0
     exp_dir = next((tmp_path / "runs").iterdir())
+    names = ("dof_sweep_cells.csv", "dof_sweep_summary.csv", "status.json")
+    written = {name: (exp_dir / name).read_bytes() for name in names}
     (exp_dir / "dof_sweep_summary.csv").unlink()
     result = runner.invoke(main, ["report", str(exp_dir)])
     assert result.exit_code == 0, result.output
-    assert (exp_dir / "dof_sweep_summary.csv").exists()
+    assert {name: (exp_dir / name).read_bytes() for name in names} == written
 
 
 def test_nlfd_export_distances(runner, tmp_path):
@@ -174,26 +176,6 @@ def test_nlfd_export_distances(runner, tmp_path):
     assert len(lines) - 1 == 12 * 11 // 2
 
 
-def test_report_clamp_kendall(runner, tmp_path):
-    cfg_path = _write_config(tmp_path / "cfg.json", n_samples=24, seeds=[0])
-    result = runner.invoke(
-        main, ["--config", str(cfg_path), "--out", str(tmp_path / "runs"), "sweep-dof"]
-    )
-    assert result.exit_code == 0, result.output
-    exp_dir = next((tmp_path / "runs").iterdir())
-    raw_before = (exp_dir / "records.jsonl").read_text()
-    result = runner.invoke(main, ["report", str(exp_dir), "--clamp-kendall"])
-    assert result.exit_code == 0, result.output
-    import csv as csv_mod
-
-    with open(exp_dir / "dof_sweep_summary.csv", newline="") as f:
-        rows = list(csv_mod.reader(f))
-    taus = [float(r[-1]) for r in rows[1:]]
-    assert all(0.0 <= t <= 1.0 for t in taus)
-    # Raw records on disk keep their signed values.
-    assert (exp_dir / "records.jsonl").read_text() == raw_before
-
-
 def test_config_hash_pins_output_directory(runner, tmp_path):
     cfg_a = _write_config(tmp_path / "a.json")
     cfg_b = _write_config(tmp_path / "b.json", seeds=[0, 1])
@@ -208,7 +190,7 @@ def test_config_hash_pins_output_directory(runner, tmp_path):
 def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     from embreg import experiments
     from embreg.featurize import StringFormat
-    from embreg.mlp import load_model
+    from embreg.mlp import TrainConfig, load_model
     from embreg.tasks import load_task
 
     task_file, data_file = _sampled(runner, tmp_path)
@@ -225,7 +207,8 @@ def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     task = load_task(task_file)
     instance = experiments.TaskInstance(family=task.id, task=task, data_path=str(data_file))
     fmt = StringFormat("values_only", 3, True)
-    rec = experiments.run_cell(instance, spec, seed=2, n_samples=40, fmt=fmt, train_overrides=FAST_TRAIN)
+    train = TrainConfig.from_overrides(FAST_TRAIN)
+    rec = experiments.run_cell(instance, spec, seed=2, n_samples=40, fmt=fmt, train=train)
     assert report["metrics"] == {k: rec[k] for k in report["metrics"]}
     assert (report["chosen_lr"], report["chosen_wd"], report["epochs_run"]) == (
         rec["chosen_lr"], rec["chosen_wd"], rec["epochs"]
@@ -288,6 +271,7 @@ def test_train_config_seed_points_to_the_seed_option(runner, tmp_path):
         {"bins": 30},
         {"offline": [{"task": "t.json", "data": "d.csv", "famliy": "x"}]},
         {"dofs": 5},
+        {"functions": ["nope"]},
     ],
 )
 def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):

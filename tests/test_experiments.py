@@ -53,7 +53,30 @@ def test_config_rejects_bad_train_overrides_up_front():
 
 
 def test_valid_train_overrides_keep_their_config_hash():
-    assert _cfg().config_hash() == "063dd32c11e9"
+    assert _cfg().config_hash() == "287c8a21e264"
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        {"string_format": {}},
+        {"string_format": {"variant": "full_dict", "float_precision": 4, "space_after_comma": False}},
+        {"train": {"max_epochs": 300}},
+        {"train": {"learning_rates": [1e-4, 5e-4, 1e-3, 5e-3, 1e-2]}},
+    ],
+)
+def test_spellings_of_one_config_share_its_hash(spelling):
+    default = ExperimentConfig.from_dict({})
+    cfg = ExperimentConfig.from_dict(spelling)
+    assert cfg == default and cfg.config_hash() == default.config_hash()
+    assert ExperimentConfig.from_dict({"train": {"max_epochs": 299}}).config_hash() != default.config_hash()
+
+
+def test_config_json_states_the_resolved_head_and_string_format(tmp_path):
+    exp_dir = experiments.run_dof_sweep(_cfg(seeds=[0]), tmp_path)
+    written = json.loads((exp_dir / "config.json").read_text())
+    assert written["string_format"] == {"variant": "full_dict", "float_precision": 4, "space_after_comma": False}
+    assert written["train"] == {**FAST_TRAIN, "batch_size": 256}
 
 
 def test_config_rejects_sizes_too_small_to_split():
@@ -355,7 +378,7 @@ def test_valid_embedder_specs_keep_their_config_hash():
         ],
         train={},
     )
-    assert cfg.config_hash() == "d63841c1e84a"
+    assert cfg.config_hash() == "a9aeb8a455f1"
 
 
 def test_scale_data_encodes_each_distinct_text_once(tmp_path, monkeypatch):
@@ -462,8 +485,8 @@ def test_config_checks_string_format_up_front():
 
 def test_valid_string_formats_keep_their_config_hash():
     spaced = {"variant": "values_only", "float_precision": 3, "space_after_comma": True}
-    assert _cfg(string_format=spaced).config_hash() == "ea8b9fbc8352"
-    assert _cfg(string_format={"float_precision": 6}).config_hash() == "339a1619681e"
+    assert _cfg(string_format=spaced).config_hash() == "0560e25cda97"
+    assert _cfg(string_format={"float_precision": 6}).config_hash() == "6a70d0145565"
 
 
 def test_cells_honour_every_string_format_field():
@@ -740,6 +763,7 @@ def test_paired_summaries_are_pinned(tmp_path, kind, sizes, expected):
         ({"offline": [{"data": "d.csv", "family": "x"}]}, "offline entry"),
         ({"offline": [{"task": "t.json", "data": "d.csv", "family": 3}]}, "offline entry"),
         ({"offline": ["t.json"]}, "offline entry"),
+        ({"functions": ["sphere", "nope"]}, "unknown function 'nope'"),
     ],
 )
 def test_config_rejects_values_nothing_reads(overrides, match):

@@ -164,7 +164,7 @@ def _linear_problem(n, dim, seed):
 def test_train_sweep_has_grid_entries():
     x, y = _linear_problem(60, 4, seed=0)
     xv, yv = _linear_problem(20, 4, seed=1)
-    cfg = TrainConfig(max_epochs=5, patience=3, seed=0)
+    cfg = TrainConfig(max_epochs=5, patience=3)
     _, _, report = mlp.train((x, y), (xv, yv), cfg)
     assert len(report.sweep) == 15  # 5 learning rates x 3 decays
     chosen = min(report.sweep, key=lambda c: c["val_mse"])
@@ -176,7 +176,7 @@ def test_train_learns_linear_target():
     xv, yv = _linear_problem(50, 4, seed=1)
     xt, yt = _linear_problem(50, 4, seed=2)
     cfg = TrainConfig(
-        learning_rates=(1e-3, 5e-3), weight_decays=(0.0,), max_epochs=200, patience=20, seed=0
+        learning_rates=(1e-3, 5e-3), weight_decays=(0.0,), max_epochs=200, patience=20
     )
     model, norm, report = mlp.train_and_evaluate((x, y), (xv, yv), (xt, yt), cfg)
     assert report.metrics["kendall_tau"] >= 0.95
@@ -185,9 +185,9 @@ def test_train_learns_linear_target():
 def test_train_deterministic():
     x, y = _linear_problem(80, 3, seed=0)
     xv, yv = _linear_problem(20, 3, seed=1)
-    cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0, 0.1), max_epochs=30, patience=10, seed=7)
-    m1, _, r1 = mlp.train((x, y), (xv, yv), cfg)
-    m2, _, r2 = mlp.train((x, y), (xv, yv), cfg)
+    cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0, 0.1), max_epochs=30, patience=10)
+    m1, _, r1 = mlp.train((x, y), (xv, yv), cfg, seed=7)
+    m2, _, r2 = mlp.train((x, y), (xv, yv), cfg, seed=7)
     assert (r1.chosen_lr, r1.chosen_wd) == (r2.chosen_lr, r2.chosen_wd)
     assert r1.sweep == r2.sweep
     for name in m1.params():
@@ -197,7 +197,7 @@ def test_train_deterministic():
 def test_early_stopping_restores_best_weights():
     x, y = _linear_problem(60, 3, seed=0)
     xv, yv = _linear_problem(30, 3, seed=1)
-    cfg = TrainConfig(learning_rates=(5e-3,), weight_decays=(0.0,), max_epochs=120, patience=8, seed=0)
+    cfg = TrainConfig(learning_rates=(5e-3,), weight_decays=(0.0,), max_epochs=120, patience=8)
     model, norm, report = mlp.train((x, y), (xv, yv), cfg)
     returned_val = float(np.mean((forward(model, xv) - norm.normalize(yv)) ** 2))
     assert returned_val == pytest.approx(min(c["val_mse"] for c in report.sweep))
@@ -206,7 +206,7 @@ def test_early_stopping_restores_best_weights():
 def test_normalizer_absorbs_affine_target_transform():
     x, y = _linear_problem(80, 3, seed=0)
     xv, yv = _linear_problem(20, 3, seed=1)
-    cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0,), max_epochs=40, patience=40, seed=0)
+    cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0,), max_epochs=40, patience=40)
     m1, n1, _ = mlp.train((x, y), (xv, yv), cfg)
     m2, n2, _ = mlp.train((x, y * 1000.0 + 7.0), (xv, yv * 1000.0 + 7.0), cfg)
     p1 = n1.denormalize(forward(m1, xv))
@@ -217,7 +217,7 @@ def test_normalizer_absorbs_affine_target_transform():
 def test_training_failed_carries_sweep():
     x = np.full((20, 2), 1e300)
     y = np.full(20, 1e300)
-    cfg = TrainConfig(learning_rates=(1e-2,), weight_decays=(0.0,), max_epochs=5, patience=5, seed=0)
+    cfg = TrainConfig(learning_rates=(1e-2,), weight_decays=(0.0,), max_epochs=5, patience=5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingFailedError) as err:
             mlp.train((x, y), (x, y), cfg)
@@ -228,7 +228,7 @@ def test_minibatch_path_runs():
     x, y = _linear_problem(1500, 3, seed=0)  # beyond the full-batch cutoff
     xv, yv = _linear_problem(100, 3, seed=1)
     cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0,), max_epochs=3, patience=3,
-                      batch_size=256, seed=0)
+                      batch_size=256)
     _, _, report = mlp.train((x, y), (xv, yv), cfg)
     assert report.sweep[0]["epochs"] >= 1
 
@@ -367,15 +367,15 @@ def test_fast_steps_equal_oracle_steps(n):
         assert np.array_equal(value, w[name]), name
 
 
-def _oracle_train(x, y, xv, yv, cfg):
+def _oracle_train(x, y, xv, yv, cfg, seed):
     norm = mlp.fit_normalizer(y)
     y, yv = norm.normalize(y), norm.normalize(yv)
-    init, sweep, best = _oracle_init(x.shape[1], cfg.seed), [], None
+    init, sweep, best = _oracle_init(x.shape[1], seed), [], None
     for i, lr in enumerate(cfg.learning_rates):
         for j, wd in enumerate(cfg.weight_decays):
             w = {k: a.copy() for k, a in init.items()}
             m, v = {k: np.zeros_like(a) for k, a in w.items()}, {k: np.zeros_like(a) for k, a in w.items()}
-            rng = np.random.default_rng(mlp._seed_for_cell(cfg.seed, i, j))
+            rng = np.random.default_rng(mlp._seed_for_cell(seed, i, j))
             t, best_val, best_w, best_epoch, stale = 0, np.inf, None, 0, 0
             for epoch in range(1, cfg.max_epochs + 1):
                 for idx in _batches(x.shape[0], cfg.batch_size, rng):
@@ -400,9 +400,9 @@ def test_train_equals_oracle_training_loop(dim, n):
     x, xv = rng.standard_normal((n, dim)), rng.standard_normal((40, dim))
     y, yv = np.sin(x).sum(axis=1), np.sin(xv).sum(axis=1)
     cfg = TrainConfig(learning_rates=(1e-3, 1e-2), weight_decays=(0.0, 0.1),
-                      max_epochs=12 if n < 1000 else 3, patience=3, seed=2)
-    model, _, report = mlp.train((x, y), (xv, yv), cfg)
-    weights, sweep = _oracle_train(x, y, xv, yv, cfg)
+                      max_epochs=12 if n < 1000 else 3, patience=3)
+    model, _, report = mlp.train((x, y), (xv, yv), cfg, seed=2)
+    weights, sweep = _oracle_train(x, y, xv, yv, cfg, seed=2)
     assert report.sweep == sweep
     for name, value in model.params().items():
         assert np.array_equal(value, weights[name]), name

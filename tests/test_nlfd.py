@@ -160,13 +160,13 @@ def test_smoothness_ordering_matches_regression_ordering():
     ds = tasks.sample_uniform(t, 500, seed=0)
     tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
     cfg = mlp.TrainConfig(
-        learning_rates=(5e-3,), weight_decays=(0.0,), max_epochs=80, patience=15, seed=0
+        learning_rates=(5e-3,), weight_decays=(0.0,), max_epochs=80, patience=15
     )
     taus, samples = {}, {}
     for kind in ("traditional", "scrambled"):
         emb = embedders.build_embedder({"kind": kind}, t)
         _, _, report = mlp.train_and_evaluate(
-            (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg
+            (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg, seed=0
         )
         taus[kind] = report.metrics["kendall_tau"]
         samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs), ds.y)

@@ -284,3 +284,9 @@ def test_task_from_dict_rejects_other_source_shapes(source):
     with pytest.raises(SchemaError, match="task source must be") as info:
         tasks.task_from_dict({**d, "source": source})
     assert repr(source) in str(info.value)
+
+
+def test_task_file_names_an_unknown_function_id():
+    d = tasks.task_to_dict(tasks.synthetic_task("sphere", 2))
+    with pytest.raises(ValueError, match="^unknown function 'nope'"):  # not "task spec missing field"
+        tasks.task_from_dict({**d, "source": {"kind": "synthetic", "function": "nope"}})
