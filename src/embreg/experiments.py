@@ -17,7 +17,6 @@ import json
 import math
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -45,6 +44,7 @@ from .tasks import (
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
 MIN_SAMPLES = 20  # smallest n whose SPLIT_RATIOS split keeps 2 validation and 2 test points
 GAP_BANDS = (0.5, 1.0, 2.0)
+_EMBEDDERS_LOCK = threading.Lock()  # held while a run's embedder is looked up or built
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,11 @@ class ExperimentConfig:
                     and all(isinstance(v, str) for v in entry.values())):
                 raise ValueError(f"an offline entry takes string task and data and an optional family, got {entry!r}")
         cfg = cls(**coerced)
+        integers = {"dofs": cfg.dofs, "seeds": cfg.seeds, "n_samples": (cfg.n_samples,), "sizes": cfg.sizes}
+        for key, values in integers.items():
+            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, int) or (key == "seeds" and v < 0)]
+            if bad:
+                raise ValueError(f"{key} must be {'non-negative ' if key == 'seeds' else ''}integers, got {bad}")
         too_small = [n for n in (cfg.n_samples, *cfg.sizes) if n < MIN_SAMPLES]
         if too_small:
             raise ValueError(
@@ -132,7 +137,10 @@ class RunStore:
         self.log.append([rec])
 
     def ok_records(self) -> list[dict]:
-        return [r for r in self.records.values() if r.get("status") == "ok"]
+        """The completed records by seed, size and cell, so that no summary's
+        float sums depend on the order the cells completed in."""
+        ok = [r for r in self.records.values() if r.get("status") == "ok"]
+        return sorted(ok, key=itemgetter("seed", "n", "cell"))
 
     def failed_records(self) -> list[dict]:
         return [r for r in self.records.values() if r.get("status") != "ok"]
@@ -174,78 +182,6 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
     return instances
 
 
-class InputShare:
-    """The inputs of one run's cells, each computed once and shared by every
-    cell that needs it.
-
-    Three kinds of entries:
-
-    - the sampled (or ingested) dataset and its split, per (task instance, n,
-      seed), shared by every embedder slot and string format;
-    - an embedder per (slot, string format, input family), so one transformer
-      memo or one remote client serves every function;
-    - the three embedded split matrices, read-only, per (slot, string format,
-      input family, n, seed), shared by every function.
-
-    The input family (:attr:`TaskInstance.inputs`) is what a cell's inputs
-    depend on: ``sample_uniform`` draws ``x`` from the box, n and the seed,
-    and the split permutes by (n, seed), so all functions of one DOF embed
-    byte-identical inputs. Entries are built lazily by the first cell that
-    needs them, while other cells needing the same entry wait for that build;
-    an entry is dropped after the last cell that counts a use of it. A build
-    that raises is not kept: the next cell that needs it builds again and
-    records its own error.
-    """
-
-    def __init__(self, cell_keys):
-        self._uses = Counter(key for keys in cell_keys for key in keys)
-        self._entries: dict[tuple, _Entry] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def keys(instance: "TaskInstance", slot: int, fmt: StringFormat, seed: int, n_samples: int) -> tuple:
-        """The (split, embedder, embedded split) keys of one cell."""
-        inputs = (slot, fmt, instance.inputs)
-        return (
-            ("split", instance, n_samples, seed),
-            ("embedder", *inputs),
-            ("embedded", *inputs, n_samples, seed),
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple, build):
-        """The value under ``key``, built by ``build()`` if no cell has yet."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry()
-        with entry.lock:
-            if not entry.built:
-                entry.value = build()
-                entry.built = True
-            return entry.value
-
-    def release(self, keys) -> None:
-        """Count one use of each key, dropping entries with no use left."""
-        with self._lock:
-            for key in keys:
-                self._uses[key] -= 1
-                if self._uses[key] <= 0:
-                    del self._uses[key]
-                    self._entries.pop(key, None)
-
-
-class _Entry:
-    __slots__ = ("lock", "built", "value")
-
-    def __init__(self):
-        self.lock = threading.Lock()  # held by the cell building the value
-        self.built = False
-        self.value = None
-
-
 def _cell_key(**parts) -> str:
     return ";".join(f"{k}={parts[k]}" for k in sorted(parts))
 
@@ -275,29 +211,32 @@ def run_cell(
     fmt: StringFormat,
     train: TrainConfig,
     slot: int = 0,
-    share: InputShare | None = None,
+    inputs: dict | None = None,
+    embedders: dict | None = None,
 ) -> dict:
     """Sample (or ingest), split 8-1-1, embed, train, evaluate, and compute the
     roughness-factor summary over the pooled data.
 
-    ``share`` holds the run's inputs; a cell run alone computes its own.
+    ``inputs`` holds the splits (by instance) and embedded matrices (by slot
+    and string format) of the cell's input set, and ``embedders`` the run's
+    embedders (by slot, string format and input family); a cell run alone
+    computes its own. A step that raises stores nothing.
     """
     started = time.time()
     task = instance.task
-    keys = InputShare.keys(instance, slot, fmt, seed, n_samples)
-    if share is None:
-        share = InputShare([keys])
-    split_key, embedder_key, embedded_key = keys
-    try:
-        n, parts = share.get(split_key, lambda: _sample_and_split(instance, n_samples, seed))
-        kind, provenance, matrices = share.get(
-            embedded_key,
-            lambda: _embed_parts(
-                share.get(embedder_key, lambda: build_embedder(embedder_spec, task, fmt)), parts
-            ),
-        )
-    finally:
-        share.release(keys)
+    inputs = {} if inputs is None else inputs
+    if instance not in inputs:
+        inputs[instance] = _sample_and_split(instance, n_samples, seed)
+    n, parts = inputs[instance]
+    if (slot, fmt) not in inputs:
+        embedders = {} if embedders is None else embedders
+        with _EMBEDDERS_LOCK:
+            key = (slot, fmt, instance.inputs)
+            if key not in embedders:
+                embedders[key] = build_embedder(embedder_spec, task, fmt)
+            embedder = embedders[key]
+        inputs[slot, fmt] = _embed_parts(embedder, parts)
+    kind, provenance, matrices = inputs[slot, fmt]
     (m_train, m_val, m_test), (y_train, y_val, y_test) = matrices, [part.y for part in parts]
 
     _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), train, seed)
@@ -333,27 +272,33 @@ def run_cell(
 
 
 def _execute_cells(store: RunStore, cells: list[tuple[str, dict]], force: bool, workers: int, echo=None) -> None:
+    """Run the cells not yet completed (all of them if ``force``), one unit of
+    work per input set, ``workers`` units at a time, appending each record as
+    its cell completes."""
     todo = [(key, spec) for key, spec in cells if force or not store.completed(key)]
     if echo:
         echo(f"{len(cells)} cells total, {len(todo)} to run")
-    share = InputShare(
-        InputShare.keys(kw["instance"], kw["slot"], kw["fmt"], kw["seed"], kw["n_samples"]) for _, kw in todo
-    )
+    units: dict[tuple, list] = {}
+    for key, kw in todo:
+        units.setdefault((kw["instance"].inputs, kw["n_samples"], kw["seed"]), []).append((key, kw))
+    embedders: dict = {}  # kept for the run, so one transformer memo or remote client serves every unit
 
-    def run_one(item):
-        key, kwargs = item
-        try:
-            rec = run_cell(**kwargs, share=share)
-        except Exception as e:  # cell failures must not sink the sweep
-            rec = {"status": "error", "error": f"{type(e).__name__}: {e}", "ts": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        rec["cell"] = key
-        return rec
-
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # one worker runs cells in this thread
-        for rec in (pool.map if workers > 1 else map)(run_one, todo):
+    def run_unit(unit):
+        inputs: dict = {}  # the unit's splits and embedded matrices
+        for key, kwargs in unit:
+            try:
+                rec = run_cell(**kwargs, inputs=inputs, embedders=embedders)
+            except Exception as e:  # cell failures must not sink the sweep
+                rec = {
+                    "status": "error", "error": f"{type(e).__name__}: {e}", "ts": time.strftime("%Y-%m-%dT%H:%M:%S")
+                }
+            rec["cell"] = key
             store.append(rec)
             if echo:
-                echo(f"  {rec['cell']}: {rec['status']}")
+                echo(f"  {key}: {rec['status']}")
+
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:  # one worker runs units in this thread
+        list((pool.map if workers > 1 else map)(run_unit, units.values()))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -383,9 +328,8 @@ def _group(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, list[dict]
 def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=None):
     """Cross product of tasks, embedders, seeds, and optional extra axes.
 
-    Cells that share an input set run back to back (input family, then seed,
-    size, function, slot and string format), so each :class:`InputShare`
-    entry lives across adjacent cells only.
+    Cells that share an input set (input family, seed and size) are adjacent,
+    ordered by function, slot and string format within it.
     """
     sizes = sizes if sizes is not None else [cfg.n_samples]
     base = cfg.string_format

@@ -10,6 +10,8 @@ runs in float64 and is deterministic given the seed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,8 +219,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.learning_rates or not self.weight_decays:
             raise ValueError("hyperparameter grids must be non-empty")
+        grids = (("learning_rates", self.learning_rates, "> 0"), ("weight_decays", self.weight_decays, ">= 0"))
+        for name, values, rule in grids:
+            bad = [
+                v for v in values
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                or v < 0 or (v == 0 and rule == "> 0")
+            ]
+            if bad:
+                raise ValueError(f"{name} must be finite numbers {rule}, got {bad}")
         counts = (self.max_epochs, self.patience, self.batch_size)
-        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1 for c in counts):
             raise ValueError("max_epochs, patience and batch_size must be integers >= 1")
 
     @classmethod

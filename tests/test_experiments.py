@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +49,36 @@ def test_config_hash_changes_with_config():
 def test_config_rejects_bad_train_overrides_up_front():
     with pytest.raises(ValueError, match="max_epoch"):
         _cfg(train={"max_epoch": 15})
-    for bad in (15.5, "15", 0):  # a float or a string used to pass here and fail every cell
+    for bad in (15.5, "15", 0, True):  # a float or a string used to fail every cell, and true to train one epoch
         with pytest.raises(ValueError, match="max_epochs"):
             _cfg(train={"max_epochs": bad})
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"seeds": [0, -1]}, r"seeds must be non-negative integers, got \[-1\]"),
+        ({"seeds": [1.5]}, "seeds must be non-negative integers"),
+        ({"seeds": [True]}, "seeds must be non-negative integers"),  # used to run seed 1 as cell seed=True
+        ({"n_samples": 40.5}, "n_samples must be integers"),
+        ({"dofs": [2.0]}, "dofs must be integers"),
+        ({"dofs": [True]}, "dofs must be integers"),
+        ({"sizes": [20, 40.5]}, r"sizes must be integers, got \[40.5\]"),
+        ({"train": {**FAST_TRAIN, "learning_rates": ["0.001"]}}, "learning_rates must be finite numbers > 0"),
+        ({"train": {**FAST_TRAIN, "learning_rates": [True]}}, "learning_rates must be finite numbers > 0"),
+        ({"train": {**FAST_TRAIN, "learning_rates": [1e-3, 0]}}, r"learning_rates .* got \[0\]"),
+        ({"train": {**FAST_TRAIN, "learning_rates": [-1e-3]}}, "learning_rates must be finite numbers > 0"),
+        ({"train": {**FAST_TRAIN, "learning_rates": [float("inf")]}}, "learning_rates must be finite numbers > 0"),
+        ({"train": {**FAST_TRAIN, "learning_rates": [float("nan")]}}, "learning_rates must be finite numbers > 0"),
+        ({"train": {**FAST_TRAIN, "weight_decays": [-0.1]}}, "weight_decays must be finite numbers >= 0"),
+        ({"train": {**FAST_TRAIN, "weight_decays": ["0"]}}, "weight_decays must be finite numbers >= 0"),
+        ({"train": {**FAST_TRAIN, "weight_decays": [False]}}, "weight_decays must be finite numbers >= 0"),
+        ({"train": {**FAST_TRAIN, "weight_decays": [float("nan")]}}, "weight_decays must be finite numbers >= 0"),
+    ],
+)
+def test_config_rejects_values_no_cell_can_run(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        _cfg(**overrides)
 
 
 def test_valid_train_overrides_keep_their_config_hash():
@@ -467,7 +496,7 @@ def test_parallel_cells_share_embedders_under_thread_switching(tmp_path, monkeyp
         par = experiments.run_dof_sweep(cfg, tmp_path / "par", workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 4  # a lost use count would drop an embedder early and rebuild it
+    assert len(builds) == 4  # an unlocked lookup would let two units build one embedder
     assert json.loads((par / "status.json").read_text())["failed"] == 0
     assert (seq / "dof_sweep_cells.csv").read_bytes() == (par / "dof_sweep_cells.csv").read_bytes()
 
@@ -520,18 +549,6 @@ def test_resume_after_a_torn_last_record_matches_an_uninterrupted_run(tmp_path):
     assert sorted(json.loads(line)["cell"] for line in lines[:-1]) == sorted(RunStore(full).records)
 
 
-def _recording_shares(monkeypatch) -> list:
-    shares = []
-
-    class Recording(experiments.InputShare):
-        def __init__(self, cell_keys):
-            super().__init__(cell_keys)
-            shares.append(self)
-
-    monkeypatch.setattr(experiments, "InputShare", Recording)
-    return shares
-
-
 def test_compare_runs_one_forward_pass_per_distinct_text_and_empties_its_share(tmp_path, monkeypatch):
     from embreg import featurize, tasks
     from embreg.embedders import SyntheticTransformer
@@ -541,7 +558,13 @@ def test_compare_runs_one_forward_pass_per_distinct_text_and_empties_its_share(t
     monkeypatch.setattr(
         SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
     )
-    shares = _recording_shares(monkeypatch)
+    matrices = []
+    train = experiments.train_and_evaluate
+    monkeypatch.setattr(
+        experiments,
+        "train_and_evaluate",
+        lambda *a: matrices.extend(weakref.ref(part[0]) for part in a[:3]) or train(*a),
+    )
     cfg = _cfg(
         functions=["sphere", "ellipsoidal", "rastrigin", "rosenbrock"],
         dofs=[10],
@@ -559,7 +582,8 @@ def test_compare_runs_one_forward_pass_per_distinct_text_and_empties_its_share(t
     }
     # 4 functions x 2 seeds x 60 texts; one model per input family.
     assert len(forwards) == len(distinct) == 120
-    assert len(shares) == 1 and len(shares[0]) == 0 and not shares[0]._uses
+    gc.collect()
+    assert len(matrices) == 3 * 16 and not any(ref() for ref in matrices)  # no input outlives its run
 
 
 @pytest.mark.parametrize("stage", ["build", "embed"])
@@ -584,7 +608,6 @@ def test_failing_input_is_not_kept_and_each_cell_records_its_error(tmp_path, mon
         monkeypatch.setattr(
             embedders.Embedder, "embed", lambda self, xs: fail() if self.kind == "vocab_pool" else original(self, xs)
         )
-    shares = _recording_shares(monkeypatch)
     cfg = _cfg(
         functions=["sphere", "rastrigin"],
         embedders=[{"kind": "traditional"}, {"kind": "vocab_pool", "width": 16}],
@@ -596,7 +619,6 @@ def test_failing_input_is_not_kept_and_each_cell_records_its_error(tmp_path, mon
     assert sorted(failed) == sorted(k for k in records if "slot=1" in k)
     assert {r["error"] for r in failed.values()} == {f"RuntimeError: {stage} failed"}
     assert len(calls) == 2  # the second cell tried again instead of reusing a failure
-    assert len(shares[0]) == 0
 
 
 def test_functions_of_one_input_set_get_equal_matrices(monkeypatch):
@@ -607,11 +629,8 @@ def test_functions_of_one_input_set_get_equal_matrices(monkeypatch):
     )
     cfg = _cfg(functions=["sphere", "rastrigin"], embedders=[{"kind": "vocab_pool", "width": 16}], seeds=[3])
     cells = [kw for _, kw in experiments._standard_cells(cfg, experiments.enumerate_tasks(cfg))]
-    share = experiments.InputShare(
-        experiments.InputShare.keys(kw["instance"], kw["slot"], kw["fmt"], kw["seed"], kw["n_samples"])
-        for kw in cells
-    )
-    shared = [experiments.run_cell(**kw, share=share) for kw in cells]
+    inputs, embedders = {}, {}
+    shared = [experiments.run_cell(**kw, inputs=inputs, embedders=embedders) for kw in cells]
     alone = [experiments.run_cell(**kw) for kw in cells]
     (sphere, rastrigin), (sphere_alone, rastrigin_alone) = seen[:2], seen[2:]
     for part in range(3):
@@ -626,7 +645,6 @@ def test_functions_of_one_input_set_get_equal_matrices(monkeypatch):
         assert {k: v for k, v in a.items() if k not in ("elapsed_s", "ts")} == {
             k: v for k, v in b.items() if k not in ("elapsed_s", "ts")
         }
-    assert len(share) == 0
 
 
 def test_parallel_run_computes_each_input_once_and_writes_sequential_records(tmp_path, monkeypatch):
@@ -665,6 +683,29 @@ def test_parallel_run_computes_each_input_once_and_writes_sequential_records(tmp
 
     assert len(records(seq)) == 32
     assert records(par) == records(seq)
+
+
+def test_parallel_run_appends_each_record_as_its_cell_completes(tmp_path, monkeypatch):
+    import time
+
+    cfg = _cfg(seeds=[0, 1])  # two input sets, so two units of work
+    records = tmp_path / f"sweep-dof-{cfg.config_hash()}" / "records.jsonl"
+    waited = []
+    original = experiments.train_and_evaluate
+
+    def train(*args):
+        if args[4] == 0:  # seed 0's cell waits for seed 1's record
+            deadline = time.monotonic() + 5.0
+            while not (records.exists() and "seed=1" in records.read_text()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            waited.append(records.exists() and "seed=1" in records.read_text())
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "train_and_evaluate", train)
+    exp_dir = experiments.run_dof_sweep(cfg, tmp_path, workers=2)
+    assert waited == [True]  # appended in submission order, seed 1's record would wait for seed 0's
+    assert json.loads((exp_dir / "status.json").read_text())["ok"] == 2
+    assert [json.loads(line)["seed"] for line in records.read_text().splitlines()] == [1, 0]
 
 
 def test_config_rejects_embedder_specs_that_cannot_build():
@@ -750,6 +791,26 @@ def test_paired_summaries_are_pinned(tmp_path, kind, sizes, expected):
     (exp_dir / "records.jsonl").write_text("".join(lines))
     experiments.regenerate_summaries(exp_dir)
     assert {name: (exp_dir / name).read_text() for name in expected} == expected
+
+
+@pytest.mark.parametrize("kind", ["sweep-dof", "compare", "ablate"])
+def test_summaries_do_not_depend_on_record_order(tmp_path, kind):
+    taus = (0.1, 0.2, 0.3)  # summed from either end, they differ in the last digit
+    records = [
+        {"cell": experiments._cell_key(family="sphere", dof=2, slot=slot, seed=seed, n=40, fmt="full_dict"),
+         "status": "ok", "family": "sphere", "dof": 2, "slot": slot, "embedder_kind": "traditional", "seed": seed,
+         "n": 40, "fmt": "full_dict", "kendall_tau": tau if slot == 0 else -tau}
+        for seed, tau in enumerate(taus)
+        for slot in (0, 1)
+    ]
+    summaries = []
+    for order in (records, records[::-1]):  # planned order, then one that parallel cells may complete in
+        exp_dir = tmp_path / str(len(summaries)) / f"{kind}-pinned"
+        exp_dir.mkdir(parents=True)
+        (exp_dir / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in order))
+        experiments.regenerate_summaries(exp_dir)
+        summaries.append({p.name: p.read_bytes() for p in exp_dir.glob("*.csv")})
+    assert summaries[0] and summaries[1] == summaries[0]
 
 
 @pytest.mark.parametrize(
