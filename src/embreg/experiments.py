@@ -285,7 +285,11 @@ def _execute_cells(store: RunStore, cells: list[tuple[str, dict]], force: bool, 
 
     def run_unit(unit):
         inputs: dict = {}  # the unit's splits and embedded matrices
+        instance = None
         for key, kwargs in unit:
+            if kwargs["instance"] != instance:  # cells run function by function: the last split is dead
+                inputs.pop(instance, None)
+                instance = kwargs["instance"]
             try:
                 rec = run_cell(**kwargs, inputs=inputs, embedders=embedders)
             except Exception as e:  # cell failures must not sink the sweep

@@ -18,11 +18,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from http.client import HTTPException
 from operator import itemgetter
 from pathlib import Path
+from urllib.error import HTTPError
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 import numpy as np
-import requests
 
 from .embedders import EmbeddingMatrix, config_hash
 from .jsonl import JsonlLog
@@ -43,6 +45,14 @@ class EmbeddingServiceError(RuntimeError):
 RETRYABLE_4XX = (408, 429)
 #: Statuses whose ``Retry-After`` header (in seconds) sets the retry delay.
 RETRY_AFTER_STATUSES = (429, 503)
+
+
+class _NoRedirect(HTTPRedirectHandler):
+    """Follow no redirect, so the auth header never leaves the endpoint: each
+    3xx answer surfaces as an ``HTTPError`` and is retried like any status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 def cache_key(endpoint: str, model: str, text: str) -> str:
@@ -120,6 +130,7 @@ class RemoteEmbedder:
         self.max_inflight = max_inflight
         self.timeout = timeout
         self.cache = EmbeddingCache.shared(cache_path) if cache_path else None
+        self._opener = build_opener(_NoRedirect)
         self.request_count = 0
         self._count_lock = threading.Lock()
         self.provenance = "remote:" + config_hash({"endpoint": endpoint, "model": model})
@@ -132,41 +143,43 @@ class RemoteEmbedder:
         return headers
 
     def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
+        body = json.dumps({"model": self.model, "texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
+            status, headers = None, None
+            with self._count_lock:
+                self.request_count += 1
             try:
-                with self._count_lock:
-                    self.request_count += 1
-                resp = requests.post(
-                    self.endpoint,
-                    json={"model": self.model, "texts": batch},
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-                if 400 <= resp.status_code < 500 and resp.status_code not in RETRYABLE_4XX:
-                    raise EmbeddingServiceError(
-                        f"embedding service rejected the request: HTTP {resp.status_code} {resp.reason}"
-                    )
-                resp.raise_for_status()
-                payload = resp.json()
+                request = Request(self.endpoint, data=body, headers=self._headers(), method="POST")
+                with self._opener.open(request, timeout=self.timeout) as resp:
+                    payload = json.loads(resp.read())
                 return self._validate(batch, payload)
-            except (requests.RequestException, ValueError) as e:
-                # EmbeddingServiceError subclasses RuntimeError and propagates.
+            except HTTPError as e:
+                e.close()  # an unread error body holds the connection open
+                if 400 <= e.code < 500 and e.code not in RETRYABLE_4XX:
+                    raise EmbeddingServiceError(
+                        f"embedding service rejected the request: HTTP {e.code} {e.reason}"
+                    )
+                last_error, status, headers = e, e.code, e.headers
+            except (OSError, HTTPException, ValueError) as e:
+                # OSError covers refused connections, URLError and timeouts;
+                # ValueError a body that is not JSON. EmbeddingServiceError
+                # subclasses RuntimeError and propagates.
                 last_error = e
-                if attempt < self.max_attempts:
-                    time.sleep(self._retry_delay(attempt, getattr(e, "response", None)))
+            if attempt < self.max_attempts:
+                time.sleep(self._retry_delay(attempt, status, headers))
         raise TransportError(
             f"embedding request failed after {self.max_attempts} attempts: {last_error}"
         )
 
-    def _retry_delay(self, attempt: int, resp) -> float:
+    def _retry_delay(self, attempt: int, status: int | None, headers) -> float:
         """Seconds to wait after failed ``attempt``: a 429 or 503 answer's
         ``Retry-After`` seconds, capped at the longest backoff, or else the
         exponential backoff."""
-        if resp is not None and resp.status_code in RETRY_AFTER_STATUSES:
+        if status in RETRY_AFTER_STATUSES:
             try:
-                after = float(resp.headers["Retry-After"])
-            except (KeyError, ValueError):
+                after = float(headers.get("Retry-After", "nan"))
+            except ValueError:
                 after = math.nan
             if 0.0 <= after < math.inf:  # NaN fails this test too
                 return min(after, self.backoff * 2 ** (self.max_attempts - 2))

@@ -28,6 +28,8 @@ class MockEmbeddingService:
         self.retry_after = None  # Retry-After header value sent with failures, if any
         self.mixed_dims = False
         self.inject_nan = False
+        self.not_json = False  # answer 200 with a body that is not JSON
+        self.redirect_to = None  # URL to answer 302 towards, if any
         self.requests: list[dict] = []
         self._lock = threading.Lock()
 
@@ -46,6 +48,18 @@ class MockEmbeddingService:
                     self.send_response(service.fail_status)
                     if service.retry_after is not None:
                         self.send_header("Retry-After", service.retry_after)
+                    self.end_headers()
+                    self.wfile.write(b"boom")
+                    return
+                if service.redirect_to is not None:
+                    self.send_response(302)
+                    self.send_header("Location", service.redirect_to)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
+                if service.not_json:
+                    self.send_response(200)
+                    self.send_header("Content-Length", "4")
                     self.end_headers()
                     self.wfile.write(b"boom")
                     return

@@ -708,6 +708,25 @@ def test_parallel_run_appends_each_record_as_its_cell_completes(tmp_path, monkey
     assert [json.loads(line)["seed"] for line in records.read_text().splitlines()] == [1, 0]
 
 
+def test_a_unit_drops_each_function_split_once_its_cells_are_done(tmp_path, monkeypatch):
+    seen = []
+    original = experiments.run_cell
+
+    def run_cell(**kw):
+        splits = {k for k in kw["inputs"] if isinstance(k, experiments.TaskInstance)}
+        seen.append((splits, kw["instance"], set(kw["inputs"])))
+        return original(**kw)
+
+    monkeypatch.setattr(experiments, "run_cell", run_cell)
+    cfg = _cfg(functions=["sphere", "rastrigin"], seeds=[0])  # one input set, two functions
+    experiments.run_dof_sweep(cfg, tmp_path, workers=1)
+    assert len(seen) == 2
+    (first_splits, sphere, _), (splits, rastrigin, keys) = seen
+    assert first_splits == set() and sphere.family == "sphere" and rastrigin.family == "rastrigin"
+    assert splits == set()  # sphere's split is gone before rastrigin's cell runs
+    assert (0, cfg.string_format) in keys  # the shared matrices stay
+
+
 def test_config_rejects_embedder_specs_that_cannot_build():
     for spec, match in (
         ({"kind": "remote"}, "'remote'.*'endpoint' and 'model'"),

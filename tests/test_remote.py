@@ -1,4 +1,9 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,11 @@ from embreg.remote import (
 )
 
 from conftest import deterministic_embedding
+
+# A response left open (an HTTP error's body, say) fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 def test_embed_passthrough_dim(mock_service, tmp_path):
@@ -88,6 +98,62 @@ def test_retry_then_fail_counts_attempts(mock_service, tmp_path):
     with pytest.raises(TransportError, match="after 3 attempts"):
         client.embed_texts(["x"])
     assert mock_service.request_count == 3
+
+
+def test_unreachable_endpoint_fails_after_every_attempt(tmp_path):
+    with socket.socket() as s:  # bound but not listening: connections are refused
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+        client = RemoteEmbedder(
+            f"http://127.0.0.1:{port}/embed", "m", cache_path=tmp_path / "c.jsonl",
+            max_attempts=3, backoff=0.01,
+        )
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            client.embed_texts(["x"])
+    assert client.request_count == 3
+
+
+def test_redirect_is_not_followed(mock_service, tmp_path, monkeypatch):
+    monkeypatch.setenv("EMBED_API_KEY", "secret")
+    with socket.socket() as target:  # where the 302 points; accepts nothing itself
+        target.bind(("127.0.0.1", 0))
+        target.listen()
+        target.setblocking(False)
+        mock_service.redirect_to = f"http://127.0.0.1:{target.getsockname()[1]}/steal"
+        client = RemoteEmbedder(
+            mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
+            max_attempts=2, backoff=0.01, timeout=2.0,
+        )
+        with pytest.raises(TransportError, match="302"):
+            client.embed_texts(["x"])
+        with pytest.raises(BlockingIOError):  # no connection ever reached the target
+            target.accept()
+    assert mock_service.request_count == client.request_count == 2
+
+
+def test_body_that_is_not_json_is_retried(mock_service, tmp_path):
+    mock_service.not_json = True
+    client = RemoteEmbedder(
+        mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
+        max_attempts=3, backoff=0.01,
+    )
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        client.embed_texts(["x"])
+    assert mock_service.request_count == client.request_count == 3
+
+
+def test_remote_embedding_does_not_import_requests(mock_service):
+    script = (
+        "import sys\n"
+        "from embreg.remote import RemoteEmbedder\n"
+        f"assert RemoteEmbedder({mock_service.endpoint!r}, 'm').embed_texts(['a']).rows == 1\n"
+        "assert 'requests' not in sys.modules, 'requests was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert mock_service.request_count == 1
 
 
 def test_transient_failure_recovers(mock_service, tmp_path):
