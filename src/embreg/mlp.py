@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ FULL_BATCH_MAX = 1024
 ADAMW_BLOCK = 32_768
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+#: This thread's training buffers; see ``_arena``.
+_ARENA = threading.local()
 
 
 class TrainingDivergedError(RuntimeError):
@@ -49,18 +52,22 @@ def _as_array(features) -> np.ndarray:
     return np.asarray(features, dtype=np.float64)
 
 
+def _param_shapes(input_dim: int) -> tuple[tuple[int, ...], ...]:
+    h = HIDDEN_WIDTH
+    return (input_dim, h), (h,), (h, h), (h,), (h, 1), (1,)
+
+
 class MlpModel(dict):
     """Weights ``w1`` ... ``b3`` (also attributes) as reshaped views into one
-    flat float64 buffer ``flat``, in ``_PARAM_NAMES`` order; gradients and
-    snapshots share the type. ``workspaces`` holds the buffers of
-    ``loss_and_grad`` and ``forward`` per row count, so one model must not be
-    trained or run from two threads at once.
+    flat float64 buffer ``flat``, in ``_PARAM_NAMES`` order; gradients share
+    the type. ``workspaces`` holds the buffers of ``loss_and_grad`` and
+    ``forward`` per row count, so one model must not be trained or run from
+    two threads at once.
     """
 
     def __init__(self, input_dim: int, flat: np.ndarray | None = None):
-        h = HIDDEN_WIDTH
-        shapes = ((input_dim, h), (h,), (h, h), (h,), (h, 1), (1,))
-        bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+        shapes = _param_shapes(input_dim)
+        bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
         self.flat = np.zeros(bounds[-1]) if flat is None else flat
         for name, shape, start, end in zip(_PARAM_NAMES, shapes, bounds, bounds[1:]):
             self[name] = self.flat[start:end].reshape(shape)
@@ -74,33 +81,61 @@ class MlpModel(dict):
     def copy_weights(self) -> "MlpModel":
         return MlpModel(self.input_dim, self.flat.copy())
 
-    def load_weights(self, weights: "MlpModel") -> None:
-        np.copyto(self.flat, weights.flat)
+
+def _draw_init(model: MlpModel, seed: int) -> None:
+    """He-style uniform init, seeded; biases start at zero."""
+    rng = np.random.default_rng(seed)
+    for w, b in ((model.w1, model.b1), (model.w2, model.b2), (model.w3, model.b3)):
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+        b[...] = 0.0
 
 
 def init_model(input_dim: int, seed: int) -> MlpModel:
-    """He-style uniform init, seeded; biases start at zero."""
-    rng = np.random.default_rng(seed)
     model = MlpModel(input_dim)
-    for w in (model.w1, model.w2, model.w3):
-        limit = np.sqrt(6.0 / w.shape[0])
-        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    _draw_init(model, seed)
     return model
 
 
+def _workspace_size(n: int) -> int:
+    """float64 elements of the buffers ``_carve_workspace`` makes for ``n`` rows."""
+    return n * (2 * HIDDEN_WIDTH + HIDDEN_WIDTH // 8 + 1)
+
+
+def _carve_workspace(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """h1 and h2 (each later overwritten by its delta), a ReLU mask and the
+    output for ``n`` rows, as views into ``buf`` of ``_workspace_size(n)``."""
+    h = n * HIDDEN_WIDTH
+    h1, h2 = buf[: 2 * h].reshape(2, n, HIDDEN_WIDTH)
+    mask = buf[2 * h : 2 * h + h // 8].view(bool).reshape(n, HIDDEN_WIDTH)
+    return h1, h2, mask, buf[-n:].reshape(n, 1)
+
+
 def _workspace(model: MlpModel, n: int) -> tuple[np.ndarray, ...]:
-    """Buffers for ``n`` rows: h1, h2 (later d_z1), d_h2, a ReLU mask, the output."""
     if n not in model.workspaces:
-        hidden = np.empty((3, n, HIDDEN_WIDTH))
-        model.workspaces[n] = (*hidden, np.empty((n, HIDDEN_WIDTH), dtype=bool), np.empty((n, 1)))
+        model.workspaces[n] = _carve_workspace(np.empty(_workspace_size(n)), n)
     return model.workspaces[n]
+
+
+def _arena(sizes: list[int]) -> list[np.ndarray]:
+    """Consecutive 1-D views of this thread's float64 arena, one per size.
+
+    The arena grows to fit and never shrinks, so a thread keeps its largest
+    training footprint until it ends and later calls fault in no new pages.
+    A later call overwrites every view, so none may outlive its caller.
+    """
+    bounds = np.cumsum([0, *sizes])
+    buf = getattr(_ARENA, "buf", None)
+    if buf is None or buf.size < bounds[-1]:
+        buf = _ARENA.buf = np.empty(bounds[-1])
+    return [buf[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def forward(model: MlpModel, features) -> np.ndarray:
     x = _as_array(features)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"features must be (n, {model.input_dim}), got {x.shape}")
-    h1, h2, _, _, out = _workspace(model, x.shape[0])
+    h1, h2, _, out = _workspace(model, x.shape[0])
     np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
     np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
     return np.matmul(h2, model.w3, out=out).ravel() + model.b3[0]
@@ -120,7 +155,7 @@ def loss_and_grad(
     if x.shape[0] != n:
         raise ValueError(f"row count mismatch: {x.shape[0]} features vs {n} targets")
     grads = MlpModel(model.input_dim) if grads is None else grads
-    h1, h2, d_h2, mask, out = _workspace(model, n)
+    h1, h2, mask, out = _workspace(model, n)
     np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
     np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
     resid = np.matmul(h2, model.w3, out=out).ravel()
@@ -128,16 +163,19 @@ def loss_and_grad(
     resid -= y
     loss = float(resid @ resid) / n
 
-    # Each delta keeps the unfused code's operands and float*bool ReLU mask.
+    # Each delta keeps the unfused code's operands and float*bool ReLU mask,
+    # and overwrites its layer's activations once their mask is taken.
     d_yhat = np.multiply(resid, 2.0 / n, out=resid)
     np.matmul(h2.T, d_yhat[:, None], out=grads.w3)
     grads.b3[0] = d_yhat.sum()
-    np.multiply(d_yhat[:, None], model.w3.ravel(), out=d_h2)  # np.outer as a broadcast
-    d_z2 = np.multiply(d_h2, np.greater(h2, 0.0, out=mask), out=d_h2)
+    np.greater(h2, 0.0, out=mask)
+    d_z2 = np.multiply(d_yhat[:, None], model.w3.ravel(), out=h2)  # np.outer as a broadcast
+    np.multiply(d_z2, mask, out=d_z2)
     np.matmul(h1.T, d_z2, out=grads.w2)
     np.sum(d_z2, axis=0, out=grads.b2)
-    d_z1 = np.matmul(d_z2, model.w2.T, out=h2)
-    np.multiply(d_z1, np.greater(h1, 0.0, out=mask), out=d_z1)
+    np.greater(h1, 0.0, out=mask)
+    d_z1 = np.matmul(d_z2, model.w2.T, out=h1)
+    np.multiply(d_z1, mask, out=d_z1)
     np.matmul(x.T, d_z1, out=grads.w1)
     np.sum(d_z1, axis=0, out=grads.b1)
     return loss, grads
@@ -145,18 +183,18 @@ def loss_and_grad(
 
 @dataclass
 class AdamState:
-    """AdamW moments as flat buffers the size of the model's, plus scratch."""
+    """AdamW moments as flat buffers the size of the model's, plus two rows
+    of scratch of up to ``ADAMW_BLOCK`` elements."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
-
-    def __post_init__(self) -> None:
-        self.scratch = np.empty((2, min(self.m.size, ADAMW_BLOCK)))
 
     @classmethod
     def init(cls, model: MlpModel) -> "AdamState":
-        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), step=0)
+        size = model.flat.size
+        return cls(np.zeros(size), np.zeros(size), np.empty((2, min(size, ADAMW_BLOCK))))
 
 
 def adamw_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float, state: AdamState) -> None:
@@ -258,43 +296,46 @@ def _seed_for_cell(seed: int, lr_idx: int, wd_idx: int) -> int:
 
 
 def _train_one_cell(
-    model: MlpModel, x, y_norm, xv, yv_norm, lr: float, wd: float, cfg: TrainConfig, shuffle_seed: int
-) -> tuple[float, MlpModel | None, int]:
-    """Train ``model`` in place from its current weights; return the best
-    validation MSE, a copy of the weights that reached it, and its epoch."""
-    state = AdamState.init(model)
+    model: MlpModel, grads: MlpModel, state: AdamState, best: np.ndarray,
+    x, y_norm, xv, yv_norm, lr: float, wd: float, cfg: TrainConfig, shuffle_seed: int,
+) -> tuple[float, int]:
+    """Train ``model`` in place from its current weights and zeroed AdamW
+    moments, copying the weights of each new best validation epoch into
+    ``best``; return the best validation MSE and its epoch, or inf and the
+    epoch where training diverged."""
+    state.m.fill(0.0)
+    state.v.fill(0.0)
+    state.step = 0
     rng = np.random.default_rng(shuffle_seed)
     full_batch = x.shape[0] <= FULL_BATCH_MAX
 
-    grads = None  # the first step allocates the buffer every later step reuses
-    best_weights = model.copy_weights()  # holds the weights of best_epoch once it is > 0
     best_val, best_epoch, stale = np.inf, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
         try:
             if full_batch:
-                _, grads = loss_and_grad(model, x, y_norm, grads)
+                loss_and_grad(model, x, y_norm, grads)
                 adamw_step(model, grads, lr, wd, state)
             else:
                 order = rng.permutation(x.shape[0])
                 for start in range(0, x.shape[0], cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    _, grads = loss_and_grad(model, x[idx], y_norm[idx], grads)
+                    loss_and_grad(model, x[idx], y_norm[idx], grads)
                     adamw_step(model, grads, lr, wd, state)
         except TrainingDivergedError:
-            return np.inf, None, epoch
+            return np.inf, epoch
 
         val_pred = forward(model, xv)
         val_mse = float(np.mean((val_pred - yv_norm) ** 2))
         if not np.isfinite(val_mse):
-            return np.inf, None, epoch
+            return np.inf, epoch
         if val_mse < best_val:
             best_val, best_epoch, stale = val_mse, epoch, 0
-            np.copyto(best_weights.flat, model.flat)
+            np.copyto(best, model.flat)
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    return best_val, (best_weights if best_epoch else None), best_epoch
+    return best_val, best_epoch
 
 
 def train(
@@ -304,12 +345,14 @@ def train(
     seed: int = 0,
 ) -> tuple[MlpModel, YNormalizer, RegressionReport]:
     """Sweep the hyperparameter grid, early-stop each cell on validation MSE,
-    and return the best cell's weights at its best epoch.
+    and return a copy of the best cell's weights at its best epoch.
 
     ``train_data`` and ``val_data`` are (features, y) pairs; targets are
     normalized internally with train-split statistics. Deterministic given
     ``seed``: every cell starts from the same init seeded by it, and cell
-    ``(i, j)`` shuffles minibatches with ``_seed_for_cell(seed, i, j)``.
+    ``(i, j)`` shuffles minibatches with ``_seed_for_cell(seed, i, j)``. The
+    model, gradient, weight snapshots, AdamW state and workspaces live in
+    this thread's arena.
     """
     cfg = cfg or TrainConfig()
     x, y = _as_array(train_data[0]), np.asarray(train_data[1], dtype=np.float64)
@@ -321,29 +364,40 @@ def train(
     y_norm = normalizer.normalize(y)
     yv_norm = normalizer.normalize(yv)
 
+    n, dim = x.shape
+    size = sum(math.prod(shape) for shape in _param_shapes(dim))
+    batches = {n} if n <= FULL_BATCH_MAX else {min(cfg.batch_size, n), n % cfg.batch_size} - {0}
+    rows = sorted(batches | {xv.shape[0]})
+    flat, grad, cell_best, sweep_best, m, v, scratch, *spaces = _arena(
+        [size] * 6 + [2 * min(size, ADAMW_BLOCK)] + [_workspace_size(r) for r in rows]
+    )
+    model, grads = MlpModel(dim, flat), MlpModel(dim, grad)
+    model.workspaces = {r: _carve_workspace(buf, r) for r, buf in zip(rows, spaces)}
+    state = AdamState(m, v, scratch.reshape(2, -1))
+
     sweep: list[dict] = []
-    best = None  # (val_mse, weights, epochs, lr, wd)
-    model = init_model(x.shape[1], seed=seed)
-    init = model.copy_weights()
+    best = (np.inf, 0, None, None)  # (val_mse, epochs, lr, wd); sweep_best holds its weights
     for i, lr in enumerate(cfg.learning_rates):
         for j, wd in enumerate(cfg.weight_decays):
-            model.load_weights(init)
-            val_mse, weights, epochs = _train_one_cell(
-                model, x, y_norm, xv, yv_norm, lr, wd, cfg, _seed_for_cell(seed, i, j)
+            _draw_init(model, seed)
+            val_mse, epochs = _train_one_cell(
+                model, grads, state, cell_best, x, y_norm, xv, yv_norm, lr, wd, cfg,
+                _seed_for_cell(seed, i, j),
             )
             sweep.append(
                 {"lr": lr, "weight_decay": wd, "val_mse": float(val_mse), "epochs": epochs}
             )
-            if weights is not None and (best is None or val_mse < best[0]):
-                best = (val_mse, weights, epochs, lr, wd)
+            if val_mse < best[0]:
+                best = (val_mse, epochs, lr, wd)
+                cell_best, sweep_best = sweep_best, cell_best
 
-    if best is None:
+    if best[2] is None:
         raise TrainingFailedError("every sweep cell diverged", sweep)
 
     report = RegressionReport(
-        sweep=sweep, chosen_lr=best[3], chosen_wd=best[4], epochs_run=best[2]
+        sweep=sweep, chosen_lr=best[2], chosen_wd=best[3], epochs_run=best[1]
     )
-    return best[1], normalizer, report
+    return MlpModel(dim, sweep_best.copy()), normalizer, report
 
 
 def evaluate(model: MlpModel, normalizer: YNormalizer, features, y) -> dict[str, float]:

@@ -27,6 +27,9 @@ from .embedders import EmbeddingMatrix
 
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
+#: Rows per block of the nearest-neighbor search: one (block, n) slab of
+#: squared distances is alive at a time beside the (n, n) Gram matrix.
+_NN_BLOCK = 64
 
 
 class EmptySampleError(ValueError):
@@ -75,11 +78,18 @@ def lipschitz_factors(m_norm: EmbeddingMatrix, y) -> NlfdSample:
     if m_norm.rows < 2:
         raise ValueError("need at least 2 rows")
     values = m_norm.values
+    n = m_norm.rows
     sq_norms = np.sum(values * values, axis=1)
     # Exact O(n^2) search: determinism matters more than speed at this scale.
-    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (values @ values.T)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+    # Blocks of rows take (sq_i + sq_j) - 2 * G_ij from one Gram product, so
+    # each element is bit-identical to the whole-matrix expression.
+    gram = values @ values.T
+    nearest = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _NN_BLOCK):
+        hi = min(lo + _NN_BLOCK, n)
+        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]) - 2.0 * gram[lo:hi]
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        nearest[lo:hi] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
     # A stacked (1, d) @ (d, 1) product takes the dot path np.linalg.norm
     # takes for one vector, so distances match it bit for bit.

@@ -153,7 +153,6 @@ class RemoteEmbedder:
                 request = Request(self.endpoint, data=body, headers=self._headers(), method="POST")
                 with self._opener.open(request, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read())
-                return self._validate(batch, payload)
             except HTTPError as e:
                 e.close()  # an unread error body holds the connection open
                 if 400 <= e.code < 500 and e.code not in RETRYABLE_4XX:
@@ -163,9 +162,10 @@ class RemoteEmbedder:
                 last_error, status, headers = e, e.code, e.headers
             except (OSError, HTTPException, ValueError) as e:
                 # OSError covers refused connections, URLError and timeouts;
-                # ValueError a body that is not JSON. EmbeddingServiceError
-                # subclasses RuntimeError and propagates.
+                # ValueError a body that is not JSON.
                 last_error = e
+            else:
+                return self._validate(batch, payload)
             if attempt < self.max_attempts:
                 time.sleep(self._retry_delay(attempt, status, headers))
         raise TransportError(
@@ -186,14 +186,20 @@ class RemoteEmbedder:
         return self.backoff * 2 ** (attempt - 1)
 
     @staticmethod
-    def _validate(batch: list[str], payload: dict) -> list[np.ndarray]:
-        rows = payload.get("embeddings")
+    def _validate(batch: list[str], payload) -> list[np.ndarray]:
+        """The answer's rows as vectors, or ``EmbeddingServiceError`` for any
+        JSON that is not ``{"embeddings": [...]}`` with one row of numbers
+        per text: the service answered, so a retry would not help."""
+        rows = payload.get("embeddings") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or len(rows) != len(batch):
             raise EmbeddingServiceError(
                 f"expected {len(batch)} embeddings, got {type(rows).__name__} "
                 f"of length {len(rows) if isinstance(rows, list) else 'n/a'}"
             )
-        vectors = [np.asarray(r, dtype=np.float64) for r in rows]
+        try:
+            vectors = [np.asarray(r, dtype=np.float64) for r in rows]
+        except (TypeError, ValueError) as e:
+            raise EmbeddingServiceError(f"embeddings are not rows of numbers: {e}") from None
         dims = {v.shape for v in vectors}
         if len(dims) != 1 or vectors[0].ndim != 1:
             raise EmbeddingServiceError(f"inconsistent embedding shapes in response: {dims}")

@@ -28,7 +28,7 @@ class MockEmbeddingService:
         self.retry_after = None  # Retry-After header value sent with failures, if any
         self.mixed_dims = False
         self.inject_nan = False
-        self.not_json = False  # answer 200 with a body that is not JSON
+        self.raw_body = None  # bytes to answer 200 with instead of embeddings, if any
         self.redirect_to = None  # URL to answer 302 towards, if any
         self.requests: list[dict] = []
         self._lock = threading.Lock()
@@ -57,11 +57,11 @@ class MockEmbeddingService:
                     self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
-                if service.not_json:
+                if service.raw_body is not None:
                     self.send_response(200)
-                    self.send_header("Content-Length", "4")
+                    self.send_header("Content-Length", str(len(service.raw_body)))
                     self.end_headers()
-                    self.wfile.write(b"boom")
+                    self.wfile.write(service.raw_body)
                     return
                 rows = []
                 for i, text in enumerate(body["texts"]):

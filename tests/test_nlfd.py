@@ -230,11 +230,12 @@ def test_factors_equal_a_brute_force_nearest_neighbor_oracle():
     """Integer grids make exact ties common; copies and nudges of rows by
     multiples of 2**-12 add duplicates and near duplicates. Every coordinate
     has few bits, so squared distances are exact on both paths and a tie is
-    a tie on both. 500 instances."""
+    a tie on both. 500 instances of 2 to 29 rows, then row counts that
+    straddle the search's blocks of 64 rows."""
     rng = np.random.default_rng(20240)
     checked = empty = 0
-    for _ in range(500):
-        n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+    for rows in [None] * 500 + [63, 64, 65, 129]:
+        n, dim = rows or int(rng.integers(2, 30)), int(rng.integers(1, 6))
         values = rng.integers(-3, 4, (n, dim)).astype(np.float64)
         for i in range(1, n):
             roll = rng.random()

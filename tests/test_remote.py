@@ -132,7 +132,7 @@ def test_redirect_is_not_followed(mock_service, tmp_path, monkeypatch):
 
 
 def test_body_that_is_not_json_is_retried(mock_service, tmp_path):
-    mock_service.not_json = True
+    mock_service.raw_body = b"boom"
     client = RemoteEmbedder(
         mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
         max_attempts=3, backoff=0.01,
@@ -140,6 +140,19 @@ def test_body_that_is_not_json_is_retried(mock_service, tmp_path):
     with pytest.raises(TransportError, match="after 3 attempts"):
         client.embed_texts(["x"])
     assert mock_service.request_count == client.request_count == 3
+
+
+@pytest.mark.parametrize("body", [b"[]", b'{"embeddings": [["x"]]}'])
+def test_json_that_is_not_an_embeddings_object_is_a_service_error(mock_service, tmp_path, body):
+    """The service answered: neither a JSON list nor a row of strings is retried."""
+    mock_service.raw_body = body
+    client = RemoteEmbedder(
+        mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
+        max_attempts=3, backoff=0.01,
+    )
+    with pytest.raises(EmbeddingServiceError):
+        client.embed_texts(["x"])
+    assert mock_service.request_count == client.request_count == 1
 
 
 def test_remote_embedding_does_not_import_requests(mock_service):
