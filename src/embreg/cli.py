@@ -45,11 +45,11 @@ def _resolve_task(task_file: str | None, function: str | None, dof: int | None):
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Experiment config JSON (used by experiment subcommands).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for one-off steps.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for one-off steps.")
 @click.option("--out", "out_dir", type=click.Path(), default="runs", show_default=True,
               help="Output directory.")
 @click.option("--force", is_flag=True, help="Re-run cells that already completed.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel cells for experiment subcommands.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, force, workers):
@@ -90,8 +90,8 @@ def report(exp_dir):
 @main.command()
 @click.option("--task", "task_file", type=click.Path(exists=True), default=None)
 @click.option("--function", default=None, help="Benchmark function id for a synthetic task.")
-@click.option("--dof", type=int, default=None)
-@click.option("-n", "--num-samples", type=int, default=500, show_default=True)
+@click.option("--dof", type=click.IntRange(min=1), default=None)
+@click.option("-n", "--num-samples", type=click.IntRange(min=1), default=500, show_default=True)
 @click.pass_context
 def sample(ctx, task_file, function, dof, num_samples):
     """Sample a synthetic task uniformly and write task.json + data.csv."""
@@ -112,7 +112,7 @@ def _offline_inputs(command):
     @click.option("--data", "data_file", type=click.Path(exists=True), required=True)
     @click.option("--string-format", type=click.Choice(["full", "values"]), default="full",
                   show_default=True)
-    @click.option("--float-sig-digits", type=int, default=4, show_default=True)
+    @click.option("--float-sig-digits", type=click.IntRange(min=1), default=4, show_default=True)
     @click.option("--space-after-comma", is_flag=True)
     @wraps(command)
     def wrapper(task_file, data_file, string_format, float_sig_digits, space_after_comma, **kwargs):
@@ -173,7 +173,7 @@ def train(ctx, instance, build, embedder, train_config):
 @_offline_inputs
 @click.option("--embedder-a", required=True)
 @click.option("--embedder-b", required=True)
-@click.option("--bins", type=int, default=20, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--export-distances", is_flag=True,
               help="Also write all pairwise embedding distances per embedder.")
 def nlfd_cmd(instance, build, embedder_a, embedder_b, bins, export_distances):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -70,6 +71,15 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
+def _check_integers(keys: dict, **minimums: int) -> None:
+    """Raise ValueError unless each key of ``minimums`` that ``keys`` holds is
+    an integer (not a bool) of at least its minimum."""
+    for name, minimum in minimums.items():
+        v = keys.get(name, minimum)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+            raise ValueError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {v!r}")
+
+
 def _hash_seed(*parts: str) -> int:
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -114,8 +124,7 @@ class SyntheticTransformerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.layers, self.model_dim, self.heads, self.ff_dim) < 1:
-            raise ValueError("all transformer sizes must be positive")
+        _check_integers(vars(self), layers=1, model_dim=1, heads=1, ff_dim=1, seed=0)
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
 
@@ -315,6 +324,12 @@ def _synthetic_transformer(task, texts, table_seed=None, **options):
     return lambda xs: model.embed(texts(xs))
 
 
+def _check_synthetic_transformer(table_seed=None, **options) -> None:
+    SyntheticTransformerConfig(**options)
+    if table_seed is not None:
+        _check_integers({"table_seed": table_seed}, table_seed=0)
+
+
 def _scrambled(task, texts, dim=None, **options):
     dim = dim or d_trad(task)
     return lambda xs: embed_hash_scrambled(texts(xs), dim, **options)
@@ -344,13 +359,15 @@ class Backend:
 #: Every embedder kind, keyed by the spec's ``kind``.
 BACKENDS = {
     "traditional": Backend((), lambda task, texts: partial(embed_traditional, task)),
-    "vocab_pool": Backend(("width", "seed"), _vocab_pool),
+    "vocab_pool": Backend(
+        ("width", "seed"), _vocab_pool, check=lambda **keys: _check_integers(keys, width=1, seed=0)
+    ),
     "synthetic_transformer": Backend(
         ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
         _synthetic_transformer,
-        check=lambda table_seed=None, **options: SyntheticTransformerConfig(**options),
+        check=_check_synthetic_transformer,
     ),
-    "scrambled": Backend(("dim", "seed"), _scrambled),
+    "scrambled": Backend(("dim", "seed"), _scrambled, check=lambda **keys: _check_integers(keys, dim=1)),
     "scrambled_perm": Backend(
         ("seed",), lambda task, texts, **options: partial(embed_scrambled_permutation, task, **options)
     ),

@@ -17,6 +17,7 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -508,7 +509,7 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
     Config mistakes (embedder count, offline or too few tasks, a missing
-    offline file) raise ValueError.
+    offline file, no cells or one cell key twice) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
     low, high = exp.embedders
@@ -517,7 +518,16 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     instances = enumerate_tasks(cfg, synthetic_only=exp.synthetic_only)
     if len(instances) < exp.min_tasks:
         raise ValueError(f"{kind} needs at least {exp.min_tasks} tasks")
-    return _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
+    cells = _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
+    if not cells:
+        raise ValueError(f"{kind} plans no cells: tasks, seeds, embedder specs and sizes must each be non-empty")
+    repeated = next((key for key, count in Counter(key for key, _ in cells).items() if count > 1), None)
+    if repeated:
+        raise ValueError(
+            f"cell {repeated} is planned more than once: a function, dof, seed or size is repeated, or "
+            "offline entries share a family and dof (give each a distinct 'family')"
+        )
+    return cells
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:

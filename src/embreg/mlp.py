@@ -30,8 +30,8 @@ FULL_BATCH_MAX = 1024
 ADAMW_BLOCK = 32_768
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-#: This thread's training buffers; see ``_arena``.
-_ARENA = threading.local()
+#: This thread's training arena and forward/backward workspace; see ``_thread_buffer``.
+_THREAD = threading.local()
 
 
 class TrainingDivergedError(RuntimeError):
@@ -60,9 +60,9 @@ def _param_shapes(input_dim: int) -> tuple[tuple[int, ...], ...]:
 class MlpModel(dict):
     """Weights ``w1`` ... ``b3`` (also attributes) as reshaped views into one
     flat float64 buffer ``flat``, in ``_PARAM_NAMES`` order; gradients share
-    the type. ``workspaces`` holds the buffers of ``loss_and_grad`` and
-    ``forward`` per row count, so one model must not be trained or run from
-    two threads at once.
+    the type. ``forward`` and ``loss_and_grad`` keep their scratch in the
+    calling thread's workspace, so several threads may run one model at once;
+    only training writes to a model.
     """
 
     def __init__(self, input_dim: int, flat: np.ndarray | None = None):
@@ -73,7 +73,6 @@ class MlpModel(dict):
             self[name] = self.flat[start:end].reshape(shape)
         self.__dict__.update(self)
         self.input_dim = input_dim
-        self.workspaces: dict[int, tuple[np.ndarray, ...]] = {}
 
     def params(self) -> dict[str, np.ndarray]:
         return dict(self)
@@ -97,48 +96,38 @@ def init_model(input_dim: int, seed: int) -> MlpModel:
     return model
 
 
-def _workspace_size(n: int) -> int:
-    """float64 elements of the buffers ``_carve_workspace`` makes for ``n`` rows."""
-    return n * (2 * HIDDEN_WIDTH + HIDDEN_WIDTH // 8 + 1)
+def _thread_buffer(name: str, size: int) -> np.ndarray:
+    """The first ``size`` elements of this thread's float64 buffer ``name``.
+
+    The buffer grows to fit and never shrinks, so a thread keeps its largest
+    footprint until it ends and later calls fault in no new pages. A later
+    call overwrites the view, so none may outlive its caller.
+    """
+    buf = getattr(_THREAD, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_THREAD, name, buf)
+    return buf[:size]
 
 
-def _carve_workspace(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """h1 and h2 (each later overwritten by its delta), a ReLU mask and the
-    output for ``n`` rows, as views into ``buf`` of ``_workspace_size(n)``."""
-    h = n * HIDDEN_WIDTH
+def _layers(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three layer products for the rows of ``x``, in this thread's
+    workspace: the hidden activations h1 and h2, room for one ReLU mask, and
+    the output without its bias."""
+    n, h = x.shape[0], x.shape[0] * HIDDEN_WIDTH
+    buf = _thread_buffer("workspace", 2 * h + h // 8 + n)
     h1, h2 = buf[: 2 * h].reshape(2, n, HIDDEN_WIDTH)
     mask = buf[2 * h : 2 * h + h // 8].view(bool).reshape(n, HIDDEN_WIDTH)
-    return h1, h2, mask, buf[-n:].reshape(n, 1)
-
-
-def _workspace(model: MlpModel, n: int) -> tuple[np.ndarray, ...]:
-    if n not in model.workspaces:
-        model.workspaces[n] = _carve_workspace(np.empty(_workspace_size(n)), n)
-    return model.workspaces[n]
-
-
-def _arena(sizes: list[int]) -> list[np.ndarray]:
-    """Consecutive 1-D views of this thread's float64 arena, one per size.
-
-    The arena grows to fit and never shrinks, so a thread keeps its largest
-    training footprint until it ends and later calls fault in no new pages.
-    A later call overwrites every view, so none may outlive its caller.
-    """
-    bounds = np.cumsum([0, *sizes])
-    buf = getattr(_ARENA, "buf", None)
-    if buf is None or buf.size < bounds[-1]:
-        buf = _ARENA.buf = np.empty(bounds[-1])
-    return [buf[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
+    np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
+    return h1, h2, mask, np.matmul(h2, model.w3, out=buf[-n:].reshape(n, 1)).ravel()
 
 
 def forward(model: MlpModel, features) -> np.ndarray:
     x = _as_array(features)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"features must be (n, {model.input_dim}), got {x.shape}")
-    h1, h2, _, out = _workspace(model, x.shape[0])
-    np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
-    np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
-    return np.matmul(h2, model.w3, out=out).ravel() + model.b3[0]
+    return _layers(model, x)[3] + model.b3[0]
 
 
 def loss_and_grad(
@@ -155,10 +144,7 @@ def loss_and_grad(
     if x.shape[0] != n:
         raise ValueError(f"row count mismatch: {x.shape[0]} features vs {n} targets")
     grads = MlpModel(model.input_dim) if grads is None else grads
-    h1, h2, mask, out = _workspace(model, n)
-    np.maximum(np.add(np.matmul(x, model.w1, out=h1), model.b1, out=h1), 0.0, out=h1)
-    np.maximum(np.add(np.matmul(h1, model.w2, out=h2), model.b2, out=h2), 0.0, out=h2)
-    resid = np.matmul(h2, model.w3, out=out).ravel()
+    h1, h2, mask, resid = _layers(model, x)
     resid += model.b3[0]
     resid -= y
     loss = float(resid @ resid) / n
@@ -307,20 +293,19 @@ def _train_one_cell(
     state.v.fill(0.0)
     state.step = 0
     rng = np.random.default_rng(shuffle_seed)
-    full_batch = x.shape[0] <= FULL_BATCH_MAX
+    n = x.shape[0]
 
     best_val, best_epoch, stale = np.inf, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
+        if n <= FULL_BATCH_MAX:
+            batches = [slice(None)]
+        else:
+            order = rng.permutation(n)
+            batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
         try:
-            if full_batch:
-                loss_and_grad(model, x, y_norm, grads)
+            for idx in batches:
+                loss_and_grad(model, x[idx], y_norm[idx], grads)
                 adamw_step(model, grads, lr, wd, state)
-            else:
-                order = rng.permutation(x.shape[0])
-                for start in range(0, x.shape[0], cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    loss_and_grad(model, x[idx], y_norm[idx], grads)
-                    adamw_step(model, grads, lr, wd, state)
         except TrainingDivergedError:
             return np.inf, epoch
 
@@ -351,8 +336,8 @@ def train(
     normalized internally with train-split statistics. Deterministic given
     ``seed``: every cell starts from the same init seeded by it, and cell
     ``(i, j)`` shuffles minibatches with ``_seed_for_cell(seed, i, j)``. The
-    model, gradient, weight snapshots, AdamW state and workspaces live in
-    this thread's arena.
+    model, gradient, weight snapshots and AdamW state live in this thread's
+    arena.
     """
     cfg = cfg or TrainConfig()
     x, y = _as_array(train_data[0]), np.asarray(train_data[1], dtype=np.float64)
@@ -364,16 +349,12 @@ def train(
     y_norm = normalizer.normalize(y)
     yv_norm = normalizer.normalize(yv)
 
-    n, dim = x.shape
+    dim = x.shape[1]
     size = sum(math.prod(shape) for shape in _param_shapes(dim))
-    batches = {n} if n <= FULL_BATCH_MAX else {min(cfg.batch_size, n), n % cfg.batch_size} - {0}
-    rows = sorted(batches | {xv.shape[0]})
-    flat, grad, cell_best, sweep_best, m, v, scratch, *spaces = _arena(
-        [size] * 6 + [2 * min(size, ADAMW_BLOCK)] + [_workspace_size(r) for r in rows]
-    )
+    arena = _thread_buffer("arena", 6 * size + 2 * min(size, ADAMW_BLOCK))
+    flat, grad, cell_best, sweep_best, m, v = arena[: 6 * size].reshape(6, size)
     model, grads = MlpModel(dim, flat), MlpModel(dim, grad)
-    model.workspaces = {r: _carve_workspace(buf, r) for r, buf in zip(rows, spaces)}
-    state = AdamState(m, v, scratch.reshape(2, -1))
+    state = AdamState(m, v, arena[6 * size :].reshape(2, -1))
 
     sweep: list[dict] = []
     best = (np.inf, 0, None, None)  # (val_mse, epochs, lr, wd); sweep_best holds its weights

@@ -188,8 +188,8 @@ class RemoteEmbedder:
     @staticmethod
     def _validate(batch: list[str], payload) -> list[np.ndarray]:
         """The answer's rows as vectors, or ``EmbeddingServiceError`` for any
-        JSON that is not ``{"embeddings": [...]}`` with one row of numbers
-        per text: the service answered, so a retry would not help."""
+        JSON that is not ``{"embeddings": [...]}`` with one non-empty row of
+        numbers per text: the service answered, so a retry would not help."""
         rows = payload.get("embeddings") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or len(rows) != len(batch):
             raise EmbeddingServiceError(
@@ -203,6 +203,8 @@ class RemoteEmbedder:
         dims = {v.shape for v in vectors}
         if len(dims) != 1 or vectors[0].ndim != 1:
             raise EmbeddingServiceError(f"inconsistent embedding shapes in response: {dims}")
+        if vectors[0].size == 0:
+            raise EmbeddingServiceError("response rows have width 0")
         for v in vectors:
             if not np.all(np.isfinite(v)):
                 raise EmbeddingServiceError("response contains non-finite values")

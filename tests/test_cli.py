@@ -241,6 +241,8 @@ def test_nlfd_space_after_comma_changes_the_vocab_pool_inputs(runner, tmp_path):
         (["train", "--embedder", "traditional", "--train-config", '{"max_epoch": 3}'], "--train-config"),
         (["train", "--embedder", "nope"], "--embedder"),
         (["nlfd", "--embedder-a", "traditional", "--embedder-b", '{"kind":"nope"}'], "--embedder-b"),
+        (["nlfd", "--embedder-a", "traditional", "--embedder-b", "traditional", "--bins", "0"], "--bins"),
+        (["embed", "--embedder", "traditional", "--float-sig-digits", "0"], "--float-sig-digits"),
     ],
 )
 def test_bad_one_off_options_are_usage_errors(runner, tmp_path, command, option):
@@ -252,6 +254,24 @@ def test_bad_one_off_options_are_usage_errors(runner, tmp_path, command, option)
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
     assert not (tmp_path / "out" / "embeddings.npz").exists() and not (tmp_path / "out" / "model.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--seed", "-1", "sample", "--function", "sphere", "--dof", "2"], "--seed"),
+        (["--workers", "-3", "compare"], "--workers"),
+        (["--workers", "0", "compare"], "--workers"),
+        (["sample", "--function", "sphere", "--dof", "2", "-n", "0"], "-n"),
+        (["sample", "--function", "sphere", "--dof", "-1"], "--dof"),
+        (["sample", "--function", "sphere", "--dof", "0"], "--dof"),
+    ],
+)
+def test_out_of_range_seeds_and_counts_are_usage_errors(runner, tmp_path, args, option):
+    result = runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_config_seed_points_to_the_seed_option(runner, tmp_path):
@@ -293,6 +313,8 @@ TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
         ("nlfd-corr", {"embedders": TWO_SPECS}, "nlfd-corr needs at least 3 tasks"),
         ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}}, "offline task file '.*nope.json'"),
         ("compare", {"embedders": TWO_SPECS, "offline": {"data": "nope.csv"}}, "offline data table '.*nope.csv'"),
+        ("sweep-dof", {"seeds": []}, "sweep-dof plans no cells"),
+        ("sweep-dof", {"dofs": [2, 2]}, "cell .*dof=2.* is planned more than once"),
     ],
 )
 def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, kind, overrides, message):

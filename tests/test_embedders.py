@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embreg import embedders, featurize, tasks
+from embreg.experiments import ExperimentConfig
 from embreg.embedders import (
     EmbeddingMatrix,
     EmptyTextError,
@@ -280,6 +281,28 @@ def test_build_embedder_rejects_bad_specs(spec, match):
     task = tasks.synthetic_task("sphere", 3)
     with pytest.raises(ValueError, match=match):
         embedders.build_embedder(spec, task)
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"kind": "vocab_pool", "width": 0}, "width must be a positive integer"),
+        ({"kind": "vocab_pool", "width": -1}, "width must be a positive integer"),
+        ({"kind": "vocab_pool", "width": "64"}, "width must be a positive integer"),
+        ({"kind": "vocab_pool", "seed": -1}, "seed must be a non-negative integer"),
+        ({"kind": "scrambled", "dim": 0}, "dim must be a positive integer"),
+        ({"kind": "scrambled", "dim": -2}, "dim must be a positive integer"),
+        ({"kind": "scrambled", "dim": 2.5}, "dim must be a positive integer"),
+        ({"kind": "synthetic_transformer", "seed": -1}, "seed must be a non-negative integer"),
+        ({"kind": "synthetic_transformer", "table_seed": -1}, "table_seed must be a non-negative integer"),
+        ({"kind": "synthetic_transformer", "layers": 1.5}, "layers must be a positive integer"),
+    ],
+)
+def test_sizes_and_seeds_that_cannot_build_are_rejected_up_front(spec, match):
+    with pytest.raises(ValueError, match=match):
+        embedders.check_spec(spec)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict({"embedders": [spec]})
 
 
 def test_build_embedder_config_changes_provenance():

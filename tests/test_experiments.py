@@ -865,3 +865,30 @@ def test_missing_offline_table_fails_before_any_cell(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="missing.csv"):
         experiments.run_comparison(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, match",
+    [
+        ("sweep-dof", {"seeds": []}, "sweep-dof plans no cells"),
+        ("sweep-dof", {"embedders": []}, "sweep-dof plans no cells"),
+        ("scale-data", {"embedders": [{"kind": "traditional"}] * 2, "sizes": []}, "scale-data plans no cells"),
+        ("sweep-dof", {"dofs": [2, 2], "seeds": [0, 0]}, "cell dof=2;family=sphere;fmt=full_dict;n=40;seed=0;slot=0 is"),
+        ("compare", {"embedders": [{"kind": "traditional"}] * 2, "functions": ["sphere", "sphere"]}, "more than once"),
+        ("compare", {"embedders": [{"kind": "traditional"}] * 2, "offline": "same family"}, "distinct 'family'"),
+    ],
+)
+def test_plans_with_no_cells_or_a_repeated_cell_key_fail_before_any_cell(tmp_path, monkeypatch, kind, overrides, match):
+    if "offline" in overrides:  # two tables of one task, so both entries take the task id as their family
+        from embreg import tasks
+
+        task = tasks.synthetic_task("sphere", 2)
+        tasks.save_task(task, tmp_path / "task.json")
+        for name in ("a.csv", "b.csv"):
+            tasks.write_dataset_csv(tasks.sample_uniform(task, 40, seed=len(name)), task, tmp_path / name)
+        entries = [{"task": str(tmp_path / "task.json"), "data": str(tmp_path / name)} for name in ("a.csv", "b.csv")]
+        overrides = {**overrides, "functions": [], "offline": entries}
+    monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match=match):
+        experiments.run_experiment(kind, _cfg(**overrides), tmp_path / "out")
+    assert not (tmp_path / "out").exists()

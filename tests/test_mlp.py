@@ -414,11 +414,34 @@ def test_forward_reuses_workspaces_and_equals_the_oracle():
     w = {k: v.copy() for k, v in model.items()}
     x = np.random.default_rng(4).standard_normal((33, 7))
     first = forward(model, x)
-    buffers = model.workspaces[33]
+    buffer = mlp._THREAD.workspace
     second = forward(model, 2.0 * x)
-    assert model.workspaces[33] is buffers and len(model.workspaces) == 1
+    assert mlp._THREAD.workspace is buffer and not hasattr(model, "workspaces")
     assert np.array_equal(first, _oracle_forward(w, x))  # not overwritten by the later call
     assert np.array_equal(second, _oracle_forward(w, 2.0 * x))
+
+
+def test_forward_on_one_model_from_two_threads_at_once_equals_sequential_calls():
+    model = init_model(6, seed=5)
+    rng = np.random.default_rng(6)
+    inputs = [rng.standard_normal((40, 6)), rng.standard_normal((40, 6))]
+    expected = [forward(model, x) for x in inputs]
+    start = threading.Barrier(2)
+
+    def run(x):
+        start.wait(timeout=60)
+        return [forward(model, x) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads' Python steps finely
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(run, inputs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for preds, want in zip(results, expected):
+        wrong = sum(not np.array_equal(p, want) for p in preds)
+        assert wrong == 0, f"{wrong} of {len(preds)} calls differ from a sequential call"
 
 
 @pytest.mark.parametrize("width", [1, 128])

@@ -155,6 +155,17 @@ def test_json_that_is_not_an_embeddings_object_is_a_service_error(mock_service, 
     assert mock_service.request_count == client.request_count == 1
 
 
+def test_zero_width_rows_are_a_service_error_and_are_not_cached(mock_service, tmp_path):
+    mock_service.raw_body = b'{"embeddings": [[], []]}'
+    cache = tmp_path / "c.jsonl"
+    cache.write_bytes(b"")
+    client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache, max_attempts=3, backoff=0.01)
+    with pytest.raises(EmbeddingServiceError, match="width 0"):
+        client.embed_texts(["x", "y"])
+    assert mock_service.request_count == 1
+    assert cache.read_bytes() == b"" and len(client.cache) == 0
+
+
 def test_remote_embedding_does_not_import_requests(mock_service):
     script = (
         "import sys\n"
