@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import experiments, nlfd
+from . import bbob, experiments, nlfd
 from .embedders import build_embedder
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .mlp import TrainConfig, save_model, train_and_evaluate
@@ -38,7 +38,10 @@ def _resolve_task(task_file: str | None, function: str | None, dof: int | None):
     if task_file:
         return load_task(task_file)
     if function and dof:
-        return synthetic_task(function, dof)
+        try:
+            return synthetic_task(function, dof)
+        except bbob.UnknownFunctionError as e:
+            raise click.BadParameter(str(e), param_hint="'--function'") from e
     raise click.UsageError("provide --task FILE or both --function and --dof")
 
 
@@ -80,9 +83,13 @@ for _kind, _experiment in experiments.EXPERIMENTS.items():
 
 
 @main.command()
-@click.argument("exp_dir", type=click.Path(exists=True))
+@click.argument("exp_dir", type=click.Path(exists=True, file_okay=False))
 def report(exp_dir):
     """Rebuild summary CSVs from an experiment directory's records."""
+    try:
+        experiments.experiment_kind(exp_dir)
+    except ValueError as e:
+        raise click.BadParameter(str(e), param_hint="'EXP_DIR'") from e
     experiments.regenerate_summaries(exp_dir)
     click.echo(f"summaries regenerated in {exp_dir}")
 

@@ -21,7 +21,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .featurize import StringFormat, d_trad, featurize_traditional, serialize
-from .tasks import RegressionTask
+from .tasks import RegressionTask, check_integers
 
 BYTE_VOCAB = 256
 
@@ -71,15 +71,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
-def _check_integers(keys: dict, **minimums: int) -> None:
-    """Raise ValueError unless each key of ``minimums`` that ``keys`` holds is
-    an integer (not a bool) of at least its minimum."""
-    for name, minimum in minimums.items():
-        v = keys.get(name, minimum)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
-            raise ValueError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {v!r}")
-
-
 def _hash_seed(*parts: str) -> int:
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -124,7 +115,7 @@ class SyntheticTransformerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integers(vars(self), layers=1, model_dim=1, heads=1, ff_dim=1, seed=0)
+        check_integers(vars(self), layers=1, model_dim=1, heads=1, ff_dim=1, seed=0)
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
 
@@ -327,12 +318,21 @@ def _synthetic_transformer(task, texts, table_seed=None, **options):
 def _check_synthetic_transformer(table_seed=None, **options) -> None:
     SyntheticTransformerConfig(**options)
     if table_seed is not None:
-        _check_integers({"table_seed": table_seed}, table_seed=0)
+        check_integers({"table_seed": table_seed}, table_seed=0)
 
 
 def _scrambled(task, texts, dim=None, **options):
     dim = dim or d_trad(task)
     return lambda xs: embed_hash_scrambled(texts(xs), dim, **options)
+
+
+def _check_remote(endpoint, model, cache="", backoff=0, **counts) -> None:
+    for name, value in (("endpoint", endpoint), ("model", model), ("cache", cache)):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    if isinstance(backoff, bool) or not isinstance(backoff, numbers.Real) or not 0 <= backoff < math.inf:
+        raise ValueError(f"backoff must be a finite number >= 0, got {backoff!r}")
+    check_integers(counts, batch_size=1, max_attempts=1, max_inflight=1)
 
 
 def _remote(task, texts, cache=None, **options):
@@ -360,21 +360,23 @@ class Backend:
 BACKENDS = {
     "traditional": Backend((), lambda task, texts: partial(embed_traditional, task)),
     "vocab_pool": Backend(
-        ("width", "seed"), _vocab_pool, check=lambda **keys: _check_integers(keys, width=1, seed=0)
+        ("width", "seed"), _vocab_pool, check=lambda **keys: check_integers(keys, width=1, seed=0)
     ),
     "synthetic_transformer": Backend(
         ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
         _synthetic_transformer,
         check=_check_synthetic_transformer,
     ),
-    "scrambled": Backend(("dim", "seed"), _scrambled, check=lambda **keys: _check_integers(keys, dim=1)),
+    "scrambled": Backend(("dim", "seed"), _scrambled, check=lambda **keys: check_integers(keys, dim=1, seed=0)),
     "scrambled_perm": Backend(
-        ("seed",), lambda task, texts, **options: partial(embed_scrambled_permutation, task, **options)
+        ("seed",),
+        lambda task, texts, **options: partial(embed_scrambled_permutation, task, **options),
+        check=lambda **keys: check_integers(keys, seed=0),
     ),
     "remote": Backend(
         ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
         _remote,
-        check=lambda endpoint, model, **options: None,  # both keys are required
+        check=_check_remote,
     ),
 }
 

@@ -35,6 +35,8 @@ from .mlp import TrainConfig, train_and_evaluate
 from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings, zscore
 from .tasks import (
     RegressionTask,
+    check_integers,
+    from_json,
     ingest_offline,
     load_task,
     sample_uniform,
@@ -60,49 +62,29 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     sizes: tuple[int, ...] = (50, 100, 200, 400)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Check and resolve a config: ``string_format`` and ``train`` become
-        their dataclasses, so every spelling of one experiment compares (and
-        hashes) equal. Mistakes raise ValueError."""
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        coerced = dict(d)
-        for key in ("functions", "dofs", "seeds", "sizes", "embedders", "offline"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
-        for function_id in coerced.get("functions", ()):
+    def __post_init__(self) -> None:
+        for function_id in self.functions:
             bbob.get(function_id)
-        if "string_format" in coerced:
-            fmt = coerced["string_format"]
-            if not isinstance(fmt, dict):
-                raise ValueError(f"string_format must be an object, got {fmt!r}")
-            unknown = set(fmt) - set(StringFormat.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown string_format keys: {sorted(unknown)}")
-            coerced["string_format"] = StringFormat(**fmt)
-        if "train" in coerced:
-            coerced["train"] = TrainConfig.from_overrides(coerced["train"])
-        for spec in coerced.get("embedders", ()):
+        for spec in self.embedders:
             check_spec(spec)
-        for entry in coerced.get("offline", ()):
+        for entry in self.offline:
             if not (isinstance(entry, dict) and {"task", "data"} <= set(entry) <= {"task", "data", "family"}
                     and all(isinstance(v, str) for v in entry.values())):
                 raise ValueError(f"an offline entry takes string task and data and an optional family, got {entry!r}")
-        cfg = cls(**coerced)
-        integers = {"dofs": cfg.dofs, "seeds": cfg.seeds, "n_samples": (cfg.n_samples,), "sizes": cfg.sizes}
-        for key, values in integers.items():
-            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, int) or (key == "seeds" and v < 0)]
-            if bad:
-                raise ValueError(f"{key} must be {'non-negative ' if key == 'seeds' else ''}integers, got {bad}")
-        too_small = [n for n in (cfg.n_samples, *cfg.sizes) if n < MIN_SAMPLES]
+        check_integers({**vars(self), "n_samples": (self.n_samples,)}, dofs=None, seeds=0, n_samples=None, sizes=None)
+        too_small = [n for n in (self.n_samples, *self.sizes) if n < MIN_SAMPLES]
         if too_small:
             raise ValueError(
                 f"sample sizes {too_small} are below {MIN_SAMPLES}: the {SPLIT_RATIOS} split "
                 "would leave fewer than 2 validation or test points"
             )
-        return cfg
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Resolve a JSON config, so that every spelling of one experiment
+        compares (and hashes) equal. Mistakes raise ValueError."""
+        string_format = partial(from_json, StringFormat, what="string_format")
+        return from_json(cls, d, "config", string_format=string_format, train=TrainConfig.from_overrides)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -566,10 +548,15 @@ def _summarize(kind: str, store: RunStore, echo=None) -> None:
         echo(f"warning: {len(failed)} cells failed; see status.json")
 
 
-def regenerate_summaries(exp_dir) -> None:
-    """Rebuild summary CSVs for an existing experiment directory, whose
-    ``<kind>-<config hash>`` name gives the experiment kind."""
+def experiment_kind(exp_dir) -> str:
+    """The :data:`EXPERIMENTS` kind that a ``<kind>-<config hash>`` run
+    directory's name gives; ValueError for any other name."""
     kind = Path(exp_dir).name.rsplit("-", 1)[0]
     if kind not in EXPERIMENTS:
         raise ValueError(f"cannot infer experiment type from directory name {Path(exp_dir).name!r}")
-    _summarize(kind, RunStore(exp_dir))
+    return kind
+
+
+def regenerate_summaries(exp_dir) -> None:
+    """Rebuild summary CSVs for an existing experiment directory."""
+    _summarize(experiment_kind(exp_dir), RunStore(exp_dir))

@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .tasks import CATEGORICAL, CONTINUOUS, RegressionTask, validate_assignment
+from .tasks import CATEGORICAL, CONTINUOUS, RegressionTask, check_integers, validate_assignment
 
 FULL_DICT = "full_dict"
 VALUES_ONLY = "values_only"
@@ -56,8 +56,7 @@ class StringFormat:
     def __post_init__(self) -> None:
         if self.variant not in (FULL_DICT, VALUES_ONLY):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if type(self.float_precision) is not int or self.float_precision < 1:
-            raise ValueError(f"float_precision must be a positive integer, got {self.float_precision!r}")
+        check_integers(vars(self), float_precision=1)
         if type(self.space_after_comma) is not bool:
             raise ValueError(f"space_after_comma must be true or false, got {self.space_after_comma!r}")
 

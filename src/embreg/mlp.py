@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedders import EmbeddingMatrix
 from .metrics import bundle
+from .tasks import check_integers, from_json
 
 HIDDEN_WIDTH = 256
 ADAM_BETA1 = 0.9
@@ -252,20 +253,13 @@ class TrainConfig:
             ]
             if bad:
                 raise ValueError(f"{name} must be finite numbers {rule}, got {bad}")
-        counts = (self.max_epochs, self.patience, self.batch_size)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1 for c in counts):
-            raise ValueError("max_epochs, patience and batch_size must be integers >= 1")
+        check_integers(vars(self), max_epochs=1, patience=1, batch_size=1)
 
     @classmethod
     def from_overrides(cls, overrides: dict | None) -> "TrainConfig":
-        overrides = dict(overrides or {})
-        if "seed" in overrides:
+        if isinstance(overrides, dict) and "seed" in overrides:
             raise ValueError("train takes no 'seed': the seed comes from `seeds` (--seed in the CLI)")
-        unknown = set(overrides) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown train fields: {sorted(unknown)}")
-        grids = {k: tuple(overrides[k]) for k in ("learning_rates", "weight_decays") if k in overrides}
-        return cls(**{**overrides, **grids})
+        return from_json(cls, {} if overrides is None else overrides, "train")
 
 
 @dataclass

@@ -120,8 +120,6 @@ class RemoteEmbedder:
         max_inflight: int = 4,
         timeout: float = 30.0,
     ):
-        if batch_size < 1 or max_attempts < 1 or max_inflight < 1:
-            raise ValueError("batch_size, max_attempts and max_inflight must be >= 1")
         self.endpoint = endpoint
         self.model = model
         self.batch_size = batch_size

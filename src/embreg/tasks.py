@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +39,40 @@ class ValidationError(ValueError):
 
 class SplitError(ValueError):
     """Requested split would leave a partition empty."""
+
+
+def check_integers(values: dict, **minimums: int | None) -> None:
+    """Raise ValueError unless each key of ``minimums`` that ``values`` holds
+    is an integer, not a bool, of at least its minimum (None: any integer);
+    a tuple's items are checked one by one."""
+    for name, minimum in minimums.items():
+        value = values.get(name, ())
+        many = isinstance(value, tuple)
+        bad = [v for v in (value if many else (value,)) if isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               or (minimum is not None and v < minimum)]
+        if bad:
+            rule = {None: "", 0: "non-negative ", 1: "positive "}[minimum]
+            raise ValueError(f"{name} must be {rule}integers, got {bad}" if many
+                             else f"{name} must be a {rule}integer, got {value!r}")
+
+
+def from_json(cls, d, what: str, **nested):
+    """``cls(**d)`` for a JSON object ``d``, whose unknown keys raise
+    ValueError naming ``what``. A field with a tuple default takes a list,
+    passed on as a tuple; ``nested[key]`` resolves the value of ``key``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {d!r}")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    values = {}
+    for key, value in d.items():
+        if isinstance(cls.__dataclass_fields__[key].default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{what} field {key!r} must be a list, got {value!r}")
+            value = tuple(value)
+        values[key] = nested[key](value) if key in nested else value
+    return cls(**values)
 
 
 CONTINUOUS = "continuous"

@@ -302,6 +302,37 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [{"batch_size": 0}, {"batch_size": "3"}, {"batch_size": 2.5}, {"backoff": "a"}, {"endpoint": 3}],
+)
+def test_remote_spec_mistakes_are_usage_errors(runner, tmp_path, keys):
+    remote = {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m", **keys}
+    cfg = _write_config(tmp_path / "cfg.json", embedders=[{"kind": "traditional"}, remote])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    assert result.exit_code == 2, result.output
+    assert "Error: Invalid value for '--config': embedder kind 'remote' cannot build" in result.output
+    assert f"{next(iter(keys))} must be" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["sample", "--function", "nope", "--dof", "2"], "--function"),  # an id no bbob.register call added
+        (["report", "plain"], "EXP_DIR"),  # a directory not named <kind>-<config hash>
+    ],
+)
+def test_unknown_function_and_unnamed_report_dir_are_usage_errors(runner, tmp_path, args, name):
+    (tmp_path / "plain").mkdir()
+    args = [str(tmp_path / a) if a == "plain" else a for a in args]
+    result = runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+    assert result.exit_code == 2, result.output
+    assert f"Error: Invalid value for '{name}'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists() and list((tmp_path / "plain").iterdir()) == []
+
+
 TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -296,6 +297,11 @@ def test_build_embedder_rejects_bad_specs(spec, match):
         ({"kind": "synthetic_transformer", "seed": -1}, "seed must be a non-negative integer"),
         ({"kind": "synthetic_transformer", "table_seed": -1}, "table_seed must be a non-negative integer"),
         ({"kind": "synthetic_transformer", "layers": 1.5}, "layers must be a positive integer"),
+        ({"kind": "scrambled", "seed": "0"}, "seed must be a non-negative integer"),
+        ({"kind": "scrambled", "seed": -1}, "seed must be a non-negative integer"),
+        ({"kind": "scrambled_perm", "seed": 2.5}, "seed must be a non-negative integer"),
+        ({"kind": "scrambled_perm", "seed": True}, "seed must be a non-negative integer"),
+        ({"kind": "scrambled_perm", "seed": None}, "seed must be a non-negative integer"),
     ],
 )
 def test_sizes_and_seeds_that_cannot_build_are_rejected_up_front(spec, match):
@@ -303,6 +309,34 @@ def test_sizes_and_seeds_that_cannot_build_are_rejected_up_front(spec, match):
         embedders.check_spec(spec)
     with pytest.raises(ValueError, match=match):
         ExperimentConfig.from_dict({"embedders": [spec]})
+
+
+REMOTE = {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "keys, match",
+    [
+        ({"batch_size": 0}, "batch_size must be a positive integer, got 0"),
+        ({"batch_size": "3"}, "batch_size must be a positive integer, got '3'"),
+        ({"max_attempts": 2.5}, "max_attempts must be a positive integer, got 2.5"),
+        ({"max_inflight": True}, "max_inflight must be a positive integer, got True"),
+        ({"backoff": "a"}, "backoff must be a finite number >= 0, got 'a'"),
+        ({"backoff": -0.5}, "backoff must be a finite number >= 0"),
+        ({"backoff": float("nan")}, "backoff must be a finite number >= 0"),
+        ({"backoff": float("inf")}, "backoff must be a finite number >= 0"),
+        ({"endpoint": 3}, "endpoint must be a string, got 3"),
+        ({"model": ["m"]}, "model must be a string"),
+        ({"cache": 3}, "cache must be a string"),
+    ],
+)
+def test_remote_keys_that_cannot_build_are_rejected_up_front(keys, match):
+    spec = {**REMOTE, **keys}
+    with pytest.raises(ValueError, match=match):
+        embedders.check_spec(spec)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict({"embedders": [spec]})
+    embedders.check_spec({**REMOTE, "batch_size": 1, "max_attempts": 1, "max_inflight": 1, "backoff": 0, "cache": "c"})
 
 
 def test_build_embedder_config_changes_provenance():
@@ -322,9 +356,19 @@ def test_build_embedder_config_changes_provenance():
         ({"kind": "synthetic_transformer"}, "synthetic_transformer:b6abd5ab3975"),
         ({"kind": "scrambled"}, "scrambled:8deb8155af8c"),
         ({"kind": "scrambled_perm"}, "scrambled_perm:8deb8155af8c"),
+        ({"kind": "scrambled", "seed": 3}, "scrambled:27416949cabc"),
+        ({"kind": "scrambled_perm", "seed": 3}, "scrambled_perm:27416949cabc"),
     ],
 )
 def test_provenance_strings_are_pinned(spec, provenance):
     task = tasks.synthetic_task("sphere", 3)
     xs = tasks.sample_uniform(task, 5, seed=0).xs
     assert embedders.build_embedder(spec, task).embed(xs).provenance == provenance
+
+
+@pytest.mark.parametrize("kind, digest", [("scrambled", "46a9c6170e13a6fa"), ("scrambled_perm", "aa8b0f3aa1f444a9")])
+def test_valid_scrambler_seeds_keep_their_vectors(kind, digest):
+    task = tasks.synthetic_task("sphere", 3)
+    xs = tasks.sample_uniform(task, 5, seed=0).xs
+    values = embedders.build_embedder({"kind": kind, "seed": 3}, task).embed(xs).values
+    assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest

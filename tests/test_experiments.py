@@ -851,6 +851,39 @@ def test_config_rejects_values_nothing_reads(overrides, match):
         _cfg(**overrides)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"seeds": (-1,)}, r"seeds must be non-negative integers, got \[-1\]"),
+        ({"dofs": (2.0,)}, "dofs must be integers"),
+        ({"n_samples": 19}, r"\[19\]"),
+        ({"functions": ("nope",)}, "unknown function 'nope'"),
+        ({"embedders": ({"kind": "remote", "endpoint": "e", "model": "m", "batch_size": 0},)}, "batch_size"),
+        ({"offline": ({"task": "t.json"},)}, "offline entry"),
+    ],
+)
+def test_a_directly_built_config_checks_itself(fields, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "d, match",
+    [
+        ({"functions": "sphere"}, "config field 'functions' must be a list, got 'sphere'"),
+        ({"dofs": 5}, "config field 'dofs' must be a list, got 5"),
+        ({"embedders": {"kind": "traditional"}}, "config field 'embedders' must be a list"),
+        ({"train": {"learning_rates": 1e-3}}, "train field 'learning_rates' must be a list"),
+        ({"train": [["max_epochs", 5]]}, "train must be an object"),
+        ({"string_format": "full_dict"}, "string_format must be an object"),
+        (["sphere"], "config must be an object"),
+    ],
+)
+def test_config_fields_take_their_json_shape(d, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(d)
+
+
 def test_missing_offline_table_fails_before_any_cell(tmp_path, monkeypatch):
     from embreg import tasks
 
