@@ -98,7 +98,7 @@ def register(function_id: str, fn: Callable[[np.ndarray], float]) -> None:
 def get(function_id: str) -> Callable[[np.ndarray], float]:
     try:
         return _REGISTRY[function_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id, such as a list
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownFunctionError(f"unknown function {function_id!r} (known: {known})") from None
 

@@ -149,8 +149,8 @@ class SyntheticTransformer:
 
     Each block applies layer norm, multi-head softmax self-attention with a
     residual connection, then layer norm and a two-layer ReLU feed-forward
-    with a residual connection. The per-position outputs are mean-pooled into
-    a single model_dim vector.
+    without biases, with a residual connection. The per-position outputs are
+    mean-pooled into a single model_dim vector.
     """
 
     def __init__(self, cfg: SyntheticTransformerConfig, table: VocabTable):
@@ -172,9 +172,7 @@ class SyntheticTransformer:
                     "wv": rng.standard_normal((dm, dm)) * scale,
                     "wo": rng.standard_normal((dm, dm)) * scale,
                     "w1": rng.standard_normal((dm, ff)) * scale,
-                    "b1": np.zeros(ff),
                     "w2": rng.standard_normal((ff, dm)) / math.sqrt(ff),
-                    "b2": np.zeros(dm),
                 }
             )
         self.provenance = "synthetic_transformer:" + config_hash({**asdict(cfg), "table_seed": table.seed})
@@ -193,7 +191,8 @@ class SyntheticTransformer:
             self._position_table = table
         return table[:length]
 
-    def _attention(self, h: np.ndarray, weights: dict, collect: list | None) -> np.ndarray:
+    def _attention(self, h: np.ndarray, weights: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The block's output and its (heads, length, length) attention map."""
         length, dm = h.shape
         heads = self.cfg.heads
         head_dim = dm // heads
@@ -206,34 +205,25 @@ class SyntheticTransformer:
         scores = q @ k.transpose(0, 2, 1)
         scores /= math.sqrt(head_dim)
         attn = _softmax(scores)
-        if collect is not None:
-            collect.append(attn)
         mixed = (attn @ v).transpose(1, 0, 2).reshape(length, dm)
-        return mixed @ weights["wo"]
+        return mixed @ weights["wo"], attn
 
-    def _forward(self, text: str, collect: list | None) -> np.ndarray:
+    def _forward(self, text: str) -> np.ndarray:
         ids = tokenize(text)
-        h = self.table.entries[ids] + self._positions(len(ids))
+        h = self.table.entries[ids] + self._positions(len(ids))  # a fresh array, so += is safe
         for weights in self.layers:
-            h = h + self._attention(_layer_norm(h), weights, collect)
-            ff_in = _layer_norm(h)
-            h = h + np.maximum(ff_in @ weights["w1"] + weights["b1"], 0.0) @ weights["w2"] + weights["b2"]
+            h += self._attention(_layer_norm(h), weights)[0]
+            h += np.maximum(_layer_norm(h) @ weights["w1"], 0.0) @ weights["w2"]
         return h.mean(axis=0)
 
-    def encode(self, text: str, collect_attention: list | None = None) -> np.ndarray:
-        """Mean-pooled output for one text, as a read-only vector.
-
-        Outputs are memoized per model, so a repeated text costs a dict
-        lookup. Passing ``collect_attention`` always runs the forward pass, so
-        that its attention maps are appended.
-        """
-        if collect_attention is None:
-            hit = self._memo.get(text)
-            if hit is not None:
-                return hit
-        vec = self._forward(text, collect_attention)
-        vec.flags.writeable = False
-        self._memo[text] = vec
+    def encode(self, text: str) -> np.ndarray:
+        """Mean-pooled output for one text, as a read-only vector, memoized
+        per model so that a repeated text costs a dict lookup."""
+        vec = self._memo.get(text)
+        if vec is None:
+            vec = self._forward(text)
+            vec.flags.writeable = False
+            self._memo[text] = vec
         return vec
 
     def embed(self, texts: list[str]) -> EmbeddingMatrix:

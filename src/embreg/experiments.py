@@ -13,8 +13,10 @@ configs produce byte-identical summary files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 import threading
 import time
 from collections import Counter
@@ -288,17 +290,29 @@ def _execute_cells(store: RunStore, cells: list[tuple[str, dict]], force: bool, 
         list((pool.map if workers > 1 else map)(run_unit, units.values()))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then ``os.replace``
+    it, so a reader sees the old file or the new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     def render(v):
         if isinstance(v, float):
             return repr(v)
         return v
 
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([render(v) for v in row])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([render(v) for v in row])
+    _write_atomic(path, out.getvalue())
 
 
 def _mean(values) -> float:
@@ -521,7 +535,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, work
     """
     cells = plan(kind, cfg)
     store = RunStore(Path(out_root) / f"{kind}-{cfg.config_hash()}")
-    (store.directory / "config.json").write_text(canonical_json(asdict(cfg)) + "\n", encoding="utf-8")
+    _write_atomic(store.directory / "config.json", canonical_json(asdict(cfg)) + "\n")
     _execute_cells(store, cells, force, workers, echo)
     _summarize(kind, store, echo)
     return store.directory
@@ -543,7 +557,7 @@ def _summarize(kind: str, store: RunStore, echo=None) -> None:
         "failed": len(failed),
         "failed_cells": sorted(r["cell"] for r in failed),
     }
-    (store.directory / "status.json").write_text(json.dumps(status, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(store.directory / "status.json", json.dumps(status, indent=2) + "\n")
     if failed and echo:
         echo(f"warning: {len(failed)} cells failed; see status.json")
 

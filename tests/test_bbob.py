@@ -125,3 +125,16 @@ def test_evaluate_rows_checks_shape_and_domain():
         fn.evaluate_rows(np.zeros(2))
     with pytest.raises(bbob.OutOfDomainError, match=r"\[-5.0, 5.0\]"):
         fn.evaluate_rows([[0.0, 0.0], [-5.5, 0.0]])
+
+
+@pytest.mark.parametrize("function_id", [["sphere"], {"id": "sphere"}])
+def test_an_unhashable_function_id_is_an_unknown_function(function_id):
+    from embreg.experiments import ExperimentConfig
+    from embreg.tasks import synthetic_task
+
+    with pytest.raises(bbob.UnknownFunctionError, match="unknown function"):
+        bbob.make(function_id, 2)
+    with pytest.raises(bbob.UnknownFunctionError, match="unknown function"):
+        synthetic_task(function_id, 2)
+    with pytest.raises(bbob.UnknownFunctionError, match="unknown function"):
+        ExperimentConfig.from_dict({"functions": [function_id]})

@@ -106,10 +106,9 @@ def test_transformer_token_order_matters():
 def test_transformer_attention_rows_sum_to_one():
     cfg, table = _transformer()
     model = SyntheticTransformer(cfg, table)
-    collected: list = []
-    model.encode("x0:0.32,x1:-4.21", collect_attention=collected)
-    assert len(collected) == cfg.layers
-    for attn in collected:
+    h = model.table.entries[embedders.tokenize("x0:0.32,x1:-4.21")]
+    for weights in model.layers:
+        attn = model._attention(embedders._layer_norm(h), weights)[1]
         sums = attn.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) < 1e-6)
 
@@ -135,7 +134,7 @@ def _reference_encode(model, text):
     for w in model.layers:
         h = h + _einsum_attention(model, embedders._layer_norm(h), w)[0]
         ff_in = embedders._layer_norm(h)
-        h = h + np.maximum(ff_in @ w["w1"] + w["b1"], 0.0) @ w["w2"] + w["b2"]
+        h = h + np.maximum(ff_in @ w["w1"], 0.0) @ w["w2"]
     return h.mean(axis=0)
 
 
@@ -145,11 +144,11 @@ def test_attention_matches_einsum_oracle(length):
     model = SyntheticTransformer(cfg, table)
     h = np.random.default_rng(length).standard_normal((length, cfg.model_dim))
     for weights in model.layers:
-        collected: list = []
-        out = model._attention(h, weights, collected)
+        out, attn = model._attention(h, weights)
         ref_out, ref_attn = _einsum_attention(model, h, weights)
+        assert attn.shape == (cfg.heads, length, length)
         assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
-        assert np.allclose(collected[0], ref_attn, rtol=0, atol=1e-12)
+        assert np.allclose(attn, ref_attn, rtol=0, atol=1e-12)
 
 
 def test_encode_matches_einsum_oracle():
@@ -157,6 +156,52 @@ def test_encode_matches_einsum_oracle():
     model = SyntheticTransformer(cfg, table)
     for text in ["a", "x0:0.32,x1:-4.21", "{" + ",".join(f"x{i}:{i / 7:.4f}" for i in range(40)) + "}"]:
         assert np.allclose(model.encode(text), _reference_encode(model, text), rtol=0, atol=1e-12)
+
+
+def _biased_encode(model, text):
+    """The forward pass before the feed-forward biases were dropped: zero
+    biases added, layer norm as ``(h - mean) / sqrt(var + eps)`` and
+    residual adds into a new array. The encoder's bitwise reference."""
+
+    def layer_norm(h):
+        return (h - h.mean(axis=-1, keepdims=True)) / np.sqrt(h.var(axis=-1, keepdims=True) + 1e-5)
+
+    ids = embedders.tokenize(text)
+    length, dm, heads = len(ids), model.cfg.model_dim, model.cfg.heads
+    head_dim = dm // heads
+    h = model.table.entries[ids] + embedders._position_encoding(length, dm)
+    for w in model.layers:
+        x = layer_norm(h)
+        q, k, v = (
+            (x @ w[name]).reshape(length, heads, head_dim).transpose(1, 0, 2) for name in ("wq", "wk", "wv")
+        )
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        h = h + (attn @ v).transpose(1, 0, 2).reshape(length, dm) @ w["wo"]
+        ff_in = layer_norm(h)
+        h = h + np.maximum(ff_in @ w["w1"] + np.zeros(model.cfg.ff_dim), 0.0) @ w["w2"] + np.zeros(dm)
+    return h.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SyntheticTransformerConfig(),
+        SyntheticTransformerConfig(model_dim=32, heads=4, ff_dim=64, seed=3),
+        SyntheticTransformerConfig(layers=1, heads=1, ff_dim=32),
+    ],
+    ids=["default", "dim32-seed3", "one-layer-one-head"],
+)
+def test_encode_is_bit_identical_to_the_biased_forward_pass(cfg):
+    model = SyntheticTransformer(cfg, VocabTable.create(cfg.model_dim, cfg.seed))
+    texts = ["a", "zz", "first", ("x0:0.32," * 38)[:300]]
+    for dof in (5, 20, 100):
+        task = tasks.synthetic_task("sphere", dof)
+        texts += [featurize.serialize(task, x, featurize.StringFormat()) for x in tasks.sample_uniform(task, 2, dof).xs]
+    assert {1, 2, 300} <= {len(t) for t in texts}
+    for text in texts:
+        assert np.array_equal(model.encode(text), _biased_encode(model, text)), text
 
 
 def test_position_table_slices_match_exact_builds():
@@ -175,7 +220,7 @@ def test_encode_memo_hit_is_bit_identical_to_fresh_model(monkeypatch):
     forwards = []
     original = SyntheticTransformer._forward
     monkeypatch.setattr(
-        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+        SyntheticTransformer, "_forward", lambda self, t: forwards.append(t) or original(self, t)
     )
     again = [model.encode(t) for t in texts]
     assert forwards == []  # every call was a memo hit
@@ -185,18 +230,6 @@ def test_encode_memo_hit_is_bit_identical_to_fresh_model(monkeypatch):
         assert not a.flags.writeable
         assert np.array_equal(a, fresh.encode(t))
     assert np.array_equal(SyntheticTransformer(cfg, table).embed(texts).values, np.stack(first))
-
-
-def test_collect_attention_runs_on_a_memoized_text():
-    cfg, table = _transformer()
-    model = SyntheticTransformer(cfg, table)
-    text = "x0:0.32,x1:-4.21"
-    vec = model.encode(text)
-    collected: list = []
-    again = model.encode(text, collect_attention=collected)
-    assert len(collected) == cfg.layers
-    assert collected[0].shape == (cfg.heads, len(text), len(text))
-    assert np.array_equal(vec, again)
 
 
 def test_transformer_dim_mismatch_rejected():

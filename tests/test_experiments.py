@@ -358,6 +358,39 @@ def test_report_regenerates_summaries(tmp_path):
     assert summary.read_bytes() == original
 
 
+def test_a_summary_write_that_fails_partway_leaves_the_previous_files(tmp_path, monkeypatch):
+    exp_dir = experiments.run_dof_sweep(_cfg(), tmp_path)
+    before = {p.name: p.read_bytes() for p in exp_dir.iterdir()}
+    writer = csv.writer
+
+    class TornWriter:
+        """Writes the header row, then fails."""
+
+        def __init__(self, f, **kwargs):
+            self._writer = writer(f, **kwargs)
+            self._rows = 0
+
+        def writerow(self, row):
+            if self._rows:
+                raise OSError("disk full")
+            self._rows += 1
+            return self._writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="disk full"):
+        experiments.regenerate_summaries(exp_dir)
+    assert {p.name: p.read_bytes() for p in exp_dir.iterdir()} == before  # no torn file, no temporary left
+    monkeypatch.undo()
+
+    def fail(src, dst):
+        raise OSError("no replace")
+
+    monkeypatch.setattr(experiments.os, "replace", fail)
+    with pytest.raises(OSError, match="no replace"):
+        experiments.regenerate_summaries(exp_dir)
+    assert {p.name: p.read_bytes() for p in exp_dir.iterdir()} == before
+
+
 def test_offline_tasks_flow_through_comparison(tmp_path):
     from embreg import tasks
 
@@ -417,7 +450,7 @@ def test_scale_data_encodes_each_distinct_text_once(tmp_path, monkeypatch):
     forwards = []
     original = SyntheticTransformer._forward
     monkeypatch.setattr(
-        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+        SyntheticTransformer, "_forward", lambda self, t: forwards.append(t) or original(self, t)
     )
     spec = {"kind": "synthetic_transformer", "layers": 1, "model_dim": 16, "heads": 2, "ff_dim": 32}
     cfg = _cfg(
@@ -556,7 +589,7 @@ def test_compare_runs_one_forward_pass_per_distinct_text_and_empties_its_share(t
     forwards = []
     original = SyntheticTransformer._forward
     monkeypatch.setattr(
-        SyntheticTransformer, "_forward", lambda self, t, c: forwards.append(t) or original(self, t, c)
+        SyntheticTransformer, "_forward", lambda self, t: forwards.append(t) or original(self, t)
     )
     matrices = []
     train = experiments.train_and_evaluate
