@@ -2,8 +2,7 @@
 
 All functions are the unshifted, unrotated canonical forms, so minima sit at
 the origin (Rosenbrock: at the all-ones vector) and values are analytically
-checkable. New objectives can be added through :func:`register`, so task specs
-may reference ids beyond the built-in catalog.
+checkable.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ class OutOfDomainError(ValueError):
 
 
 class UnknownFunctionError(ValueError):
-    """Requested function id is not registered."""
+    """Requested function id is not in the catalog."""
 
 
 def _index_exponents(d: int, scale: float) -> np.ndarray:
@@ -86,15 +85,6 @@ _REGISTRY: dict[str, Callable[[np.ndarray], float]] = {
 CATALOG: tuple[str, ...] = tuple(_REGISTRY)
 
 
-def register(function_id: str, fn: Callable[[np.ndarray], float]) -> None:
-    """Add an objective to the registry under a stable lowercase id."""
-    if function_id != function_id.lower():
-        raise ValueError(f"function id must be lowercase: {function_id!r}")
-    if function_id in _REGISTRY:
-        raise ValueError(f"function id already registered: {function_id!r}")
-    _REGISTRY[function_id] = fn
-
-
 def get(function_id: str) -> Callable[[np.ndarray], float]:
     try:
         return _REGISTRY[function_id]
@@ -105,7 +95,7 @@ def get(function_id: str) -> Callable[[np.ndarray], float]:
 
 @dataclass(frozen=True)
 class BbobFunction:
-    """A registered objective bound to a fixed input dimension."""
+    """A catalog objective bound to a fixed input dimension."""
 
     id: str
     dof: int

@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bbob, experiments, nlfd
+from . import experiments, nlfd
 from .embedders import build_embedder
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .mlp import TrainConfig, save_model, train_and_evaluate
@@ -19,9 +19,18 @@ from .tasks import (
     load_task,
     sample_uniform,
     save_task,
+    split_dataset,
     synthetic_task,
     write_dataset_csv,
 )
+
+
+def _parse(option: str, fn, *args):
+    """``fn(*args)``, with an OSError, TypeError or ValueError turned into a usage error on ``option``."""
+    try:
+        return fn(*args)
+    except (OSError, TypeError, ValueError) as e:
+        raise click.BadParameter(str(e), param_hint=f"'{option}'") from e
 
 
 def _load_embedder_spec(value: str) -> dict:
@@ -36,12 +45,9 @@ def _load_embedder_spec(value: str) -> dict:
 
 def _resolve_task(task_file: str | None, function: str | None, dof: int | None):
     if task_file:
-        return load_task(task_file)
+        return _parse("--task", load_task, task_file)
     if function and dof:
-        try:
-            return synthetic_task(function, dof)
-        except bbob.UnknownFunctionError as e:
-            raise click.BadParameter(str(e), param_hint="'--function'") from e
+        return _parse("--function", synthetic_task, function, dof)
     raise click.UsageError("provide --task FILE or both --function and --dof")
 
 
@@ -67,11 +73,8 @@ def _run_experiment(kind: str) -> None:
     ctx = click.get_current_context()
     if not ctx.obj["config_path"]:
         raise click.UsageError("this subcommand requires --config")
-    try:
-        cfg = experiments.ExperimentConfig.from_file(ctx.obj["config_path"])
-        experiments.plan(kind, cfg)
-    except (OSError, TypeError, ValueError) as e:
-        raise click.BadParameter(str(e), param_hint="'--config'") from e
+    cfg = _parse("--config", experiments.ExperimentConfig.from_file, ctx.obj["config_path"])
+    _parse("--config", experiments.plan, kind, cfg)
     exp_dir = experiments.run_experiment(
         kind, cfg, ctx.obj["out"], force=ctx.obj["force"], workers=ctx.obj["workers"], echo=click.echo
     )
@@ -86,10 +89,7 @@ for _kind, _experiment in experiments.EXPERIMENTS.items():
 @click.argument("exp_dir", type=click.Path(exists=True, file_okay=False))
 def report(exp_dir):
     """Rebuild summary CSVs from an experiment directory's records."""
-    try:
-        experiments.experiment_kind(exp_dir)
-    except ValueError as e:
-        raise click.BadParameter(str(e), param_hint="'EXP_DIR'") from e
+    _parse("EXP_DIR", experiments.experiment_kind, exp_dir)
     experiments.regenerate_summaries(exp_dir)
     click.echo(f"summaries regenerated in {exp_dir}")
 
@@ -103,7 +103,7 @@ def report(exp_dir):
 def sample(ctx, task_file, function, dof, num_samples):
     """Sample a synthetic task uniformly and write task.json + data.csv."""
     task = _resolve_task(task_file, function, dof)
-    ds = sample_uniform(task, num_samples, ctx.obj["seed"])
+    ds = _parse("--task", sample_uniform, task, num_samples, ctx.obj["seed"])
     out = _out_dir()
     save_task(task, out / "task.json")
     write_dataset_csv(ds, task, out / "data.csv")
@@ -112,8 +112,8 @@ def sample(ctx, task_file, function, dof, num_samples):
 
 def _offline_inputs(command):
     """Shared ``--task``, ``--data`` and string-format options of the one-off steps. The command gets
-    the offline :class:`experiments.TaskInstance` and ``build(value, option name) -> Embedder``, which
-    turns a spec that cannot parse or build into a usage error on that option."""
+    the task, the table's :class:`Dataset` and ``build(value, option name) -> Embedder``. A task file or
+    table that cannot be read, and a spec that cannot parse or build, are usage errors on their option."""
 
     @click.option("--task", "task_file", type=click.Path(exists=True), required=True)
     @click.option("--data", "data_file", type=click.Path(exists=True), required=True)
@@ -123,17 +123,15 @@ def _offline_inputs(command):
     @click.option("--space-after-comma", is_flag=True)
     @wraps(command)
     def wrapper(task_file, data_file, string_format, float_sig_digits, space_after_comma, **kwargs):
-        task = load_task(task_file)
+        task = _parse("--task", load_task, task_file)
+        ds = _parse("--data", ingest_offline, data_file, task)
         variant = {"full": FULL_DICT, "values": VALUES_ONLY}[string_format]
         fmt = StringFormat(variant=variant, float_precision=float_sig_digits, space_after_comma=space_after_comma)
 
         def build(value: str, option: str):
-            try:
-                return build_embedder(_load_embedder_spec(value), task, fmt)
-            except (OSError, TypeError, ValueError) as e:
-                raise click.BadParameter(str(e), param_hint=f"'{option}'") from e
+            return _parse(option, lambda: build_embedder(_load_embedder_spec(value), task, fmt))
 
-        return command(experiments.TaskInstance(family=task.id, task=task, data_path=data_file), build, **kwargs)
+        return command(task, ds, build, **kwargs)
 
     return wrapper
 
@@ -147,9 +145,9 @@ def _out_dir() -> Path:
 @main.command()
 @_offline_inputs
 @click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
-def embed(instance, build, embedder):
+def embed(task, ds, build, embedder):
     """Embed an offline data file; writes embeddings.npz."""
-    matrix = build(embedder, "--embedder").embed(ingest_offline(instance.data_path, instance.task).xs)
+    matrix = build(embedder, "--embedder").embed(ds.xs)
     out = _out_dir()
     np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
     click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.dim}, {matrix.provenance})")
@@ -160,14 +158,11 @@ def embed(instance, build, embedder):
 @click.option("--embedder", required=True)
 @click.option("--train-config", default=None, help="Inline JSON overrides for training.")
 @click.pass_context
-def train(ctx, instance, build, embedder, train_config):
+def train(ctx, task, ds, build, embedder, train_config):
     """Train the MLP head on an embedded dataset; writes model.npz + report.json."""
     seed = ctx.obj["seed"]
-    try:
-        cfg = TrainConfig.from_overrides(json.loads(train_config) if train_config else {})
-    except (TypeError, ValueError) as e:
-        raise click.BadParameter(str(e), param_hint="'--train-config'") from e
-    _, parts = experiments._sample_and_split(instance, 0, seed)  # an offline table keeps all its rows
+    cfg = _parse("--train-config", lambda: TrainConfig.from_overrides(json.loads(train_config) if train_config else {}))
+    parts = _parse("--data", split_dataset, ds, seed)
     _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
     model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg, seed)
     out = _out_dir()
@@ -183,9 +178,8 @@ def train(ctx, instance, build, embedder, train_config):
 @click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--export-distances", is_flag=True,
               help="Also write all pairwise embedding distances per embedder.")
-def nlfd_cmd(instance, build, embedder_a, embedder_b, bins, export_distances):
+def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins, export_distances):
     """Roughness-factor histograms for two embedders plus their z-score."""
-    ds = ingest_offline(instance.data_path, instance.task)
     out = _out_dir()
     samples = {}
     for tag, embedder in (("a", build(embedder_a, "--embedder-a")), ("b", build(embedder_b, "--embedder-b"))):

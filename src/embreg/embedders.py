@@ -175,6 +175,7 @@ class SyntheticTransformer:
                     "w2": rng.standard_normal((ff, dm)) / math.sqrt(ff),
                 }
             )
+        # "table_seed" stays in the hashed dict so provenance strings match those of earlier runs.
         self.provenance = "synthetic_transformer:" + config_hash({**asdict(cfg), "table_seed": table.seed})
         self._position_table = np.empty((0, dm))
         self._memo: dict[str, np.ndarray] = {}
@@ -298,17 +299,10 @@ def _vocab_pool(task, texts, **options):
     return lambda xs: embed_vocab_pool(texts(xs), table)
 
 
-def _synthetic_transformer(task, texts, table_seed=None, **options):
+def _synthetic_transformer(task, texts, **options):
     cfg = SyntheticTransformerConfig(**options)
-    table = VocabTable.create(cfg.model_dim, cfg.seed if table_seed is None else table_seed)
-    model = SyntheticTransformer(cfg, table)
+    model = SyntheticTransformer(cfg, VocabTable.create(cfg.model_dim, cfg.seed))
     return lambda xs: model.embed(texts(xs))
-
-
-def _check_synthetic_transformer(table_seed=None, **options) -> None:
-    SyntheticTransformerConfig(**options)
-    if table_seed is not None:
-        check_integers({"table_seed": table_seed}, table_seed=0)
 
 
 def _scrambled(task, texts, dim=None, **options):
@@ -353,9 +347,7 @@ BACKENDS = {
         ("width", "seed"), _vocab_pool, check=lambda **keys: check_integers(keys, width=1, seed=0)
     ),
     "synthetic_transformer": Backend(
-        ("layers", "model_dim", "heads", "ff_dim", "seed", "table_seed"),
-        _synthetic_transformer,
-        check=_check_synthetic_transformer,
+        ("layers", "model_dim", "heads", "ff_dim", "seed"), _synthetic_transformer, check=SyntheticTransformerConfig
     ),
     "scrambled": Backend(("dim", "seed"), _scrambled, check=lambda **keys: check_integers(keys, dim=1, seed=0)),
     "scrambled_perm": Backend(

@@ -36,6 +36,7 @@ from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
 from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings, zscore
 from .tasks import (
+    MIN_SAMPLES,
     RegressionTask,
     check_integers,
     from_json,
@@ -46,8 +47,6 @@ from .tasks import (
     synthetic_task,
 )
 
-SPLIT_RATIOS = (0.8, 0.1, 0.1)
-MIN_SAMPLES = 20  # smallest n whose SPLIT_RATIOS split keeps 2 validation and 2 test points
 GAP_BANDS = (0.5, 1.0, 2.0)
 _EMBEDDERS_LOCK = threading.Lock()  # held while a run's embedder is looked up or built
 
@@ -76,10 +75,7 @@ class ExperimentConfig:
         check_integers({**vars(self), "n_samples": (self.n_samples,)}, dofs=None, seeds=0, n_samples=None, sizes=None)
         too_small = [n for n in (self.n_samples, *self.sizes) if n < MIN_SAMPLES]
         if too_small:
-            raise ValueError(
-                f"sample sizes {too_small} are below {MIN_SAMPLES}: the {SPLIT_RATIOS} split "
-                "would leave fewer than 2 validation or test points"
-            )
+            raise ValueError(f"sample sizes {too_small} are below {MIN_SAMPLES}, the fewest rows a split takes")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -158,7 +154,13 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
         for key, what in (("task", "task file"), ("data", "data table")):
             if not Path(entry[key]).is_file():
                 raise ValueError(f"offline {what} {entry[key]!r} does not exist")
-        task = load_task(entry["task"])
+        try:  # the cells read the table again; reading it here makes a bad one a config error, not N failed cells
+            task = load_task(entry["task"])
+            rows = len(ingest_offline(entry["data"], task))
+        except ValueError as e:
+            raise ValueError(f"offline entry {entry}: {e}") from e
+        if rows < MIN_SAMPLES:
+            raise ValueError(f"offline entry {entry}: {rows} rows, fewer than the {MIN_SAMPLES} a split needs")
         instances.append(
             TaskInstance(
                 family=entry.get("family", task.id), task=task, data_path=entry["data"]
@@ -177,7 +179,7 @@ def _sample_and_split(instance: TaskInstance, n_samples: int, seed: int) -> tupl
         ds = sample_uniform(instance.task, n_samples, seed)
     else:
         ds = ingest_offline(instance.data_path, instance.task)
-    return len(ds), split_dataset(ds, SPLIT_RATIOS, seed)
+    return len(ds), split_dataset(ds, seed)
 
 
 def _embed_parts(embedder: Embedder, parts) -> tuple[str, str, tuple]:
@@ -504,8 +506,9 @@ EXPERIMENTS = {
 def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
-    Config mistakes (embedder count, offline or too few tasks, a missing
-    offline file, no cells or one cell key twice) raise ValueError.
+    Config mistakes (embedder count, offline or too few tasks, a missing,
+    malformed or short offline file, no cells or one cell key twice) raise
+    ValueError.
     """
     exp = EXPERIMENTS[kind]
     low, high = exp.embedders

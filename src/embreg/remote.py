@@ -30,6 +30,7 @@ from .embedders import EmbeddingMatrix, config_hash
 from .jsonl import JsonlLog
 
 API_KEY_ENV = "EMBED_API_KEY"
+TIMEOUT_S = 30.0  # seconds that each socket operation of a request may block
 
 
 class TransportError(RuntimeError):
@@ -118,7 +119,6 @@ class RemoteEmbedder:
         max_attempts: int = 3,
         backoff: float = 0.5,
         max_inflight: int = 4,
-        timeout: float = 30.0,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -126,7 +126,6 @@ class RemoteEmbedder:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.max_inflight = max_inflight
-        self.timeout = timeout
         self.cache = EmbeddingCache.shared(cache_path) if cache_path else None
         self._opener = build_opener(_NoRedirect)
         self.request_count = 0
@@ -149,7 +148,7 @@ class RemoteEmbedder:
                 self.request_count += 1
             try:
                 request = Request(self.endpoint, data=body, headers=self._headers(), method="POST")
-                with self._opener.open(request, timeout=self.timeout) as resp:
+                with self._opener.open(request, timeout=TIMEOUT_S) as resp:
                     payload = json.loads(resp.read())
             except HTTPError as e:
                 e.close()  # an unread error body holds the connection open

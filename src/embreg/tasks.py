@@ -38,7 +38,11 @@ class ValidationError(ValueError):
 
 
 class SplitError(ValueError):
-    """Requested split would leave a partition empty."""
+    """A dataset has too few rows to split."""
+
+
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test
+MIN_SAMPLES = 20  # smallest n whose SPLIT_RATIOS split keeps 2 validation and 2 test points
 
 
 def check_integers(values: dict, **minimums: int | None) -> None:
@@ -160,13 +164,13 @@ class RegressionTask:
         return frozenset(self.param_names)
 
 
-def synthetic_task(function_id: str, dof: int, task_id: str | None = None) -> RegressionTask:
-    """Build a task for a registered benchmark function at the given dimension."""
+def synthetic_task(function_id: str, dof: int) -> RegressionTask:
+    """Build a task for a catalog benchmark function at the given dimension."""
     bbob.make(function_id, dof)  # validates id and dof
     params = tuple(
         ParamSpec.continuous(f"x{i}", bbob.LOWER_BOUND, bbob.UPPER_BOUND) for i in range(dof)
     )
-    return RegressionTask(id=task_id or f"{function_id}-dof{dof}", params=params, function=function_id)
+    return RegressionTask(id=f"{function_id}-dof{dof}", params=params, function=function_id)
 
 
 @dataclass(frozen=True)
@@ -220,25 +224,19 @@ def sample_uniform(task: RegressionTask, n: int, seed: int) -> Dataset:
     return Dataset(xs=tuple(dict(zip(names, row)) for row in points.tolist()), y=tuple(fn.evaluate_rows(points)))
 
 
-def split_dataset(
-    ds: Dataset, ratios: tuple[float, float, float], seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
+def split_dataset(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Shuffle deterministically, then cut into train/validation/test.
 
-    Partition sizes are floor(n * ratio) for validation and test, with the
-    remainder going to train. The three outputs are disjoint and together
-    contain every input row exactly once.
+    Partition sizes are floor(n * ratio) of :data:`SPLIT_RATIOS` for
+    validation and test, with the remainder going to train. The three outputs
+    are disjoint and together contain every input row exactly once.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
     n = len(ds)
-    if n < 10:
-        raise SplitError(f"need at least 10 examples to split, got {n}")
-    n_val = int(n * ratios[1])
-    n_test = int(n * ratios[2])
+    if n < MIN_SAMPLES:
+        raise SplitError(f"a split needs at least {MIN_SAMPLES} rows, got {n}")
+    n_val = int(n * SPLIT_RATIOS[1])
+    n_test = int(n * SPLIT_RATIOS[2])
     n_train = n - n_val - n_test
-    if min(n_train, n_val, n_test) < 1:
-        raise SplitError(f"split {ratios} of {n} examples leaves an empty partition")
     perm = np.random.default_rng(seed).permutation(n).tolist()
     parts = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
     return tuple(Dataset(xs=tuple(ds.xs[i] for i in part), y=tuple(ds.y[i] for i in part)) for part in parts)
@@ -259,26 +257,54 @@ def task_to_dict(task: RegressionTask) -> dict:
     return {"id": task.id, "params": params, "source": source}
 
 
-def task_from_dict(d: dict) -> RegressionTask:
-    try:
-        params = []
-        for p in d["params"]:
-            if p["kind"] == CONTINUOUS:
-                params.append(ParamSpec.continuous(p["name"], p["lo"], p["hi"]))
-            else:
-                params.append(ParamSpec.categorical(p["name"], p["choices"]))
-        source = d["source"]
-        if source == {"kind": "offline"}:
-            function = None
-        elif (isinstance(source, dict) and source.keys() == {"kind", "function"}
-              and source["kind"] == "synthetic" and isinstance(source["function"], str)):
-            function = source["function"]
-        else:
-            shapes = '{"kind": "offline"} or {"kind": "synthetic", "function": <id>}'
-            raise SchemaError(f"task source must be {shapes}, got {source!r}")
-        return RegressionTask(id=d["id"], params=tuple(params), function=function)
-    except KeyError as e:
-        raise SchemaError(f"task spec missing field: {e}") from None
+_PARAM_FIELDS = {CONTINUOUS: {"name", "kind", "lo", "hi"}, CATEGORICAL: {"name", "kind", "choices"}}
+
+
+def _fields(d, fields: set, what: str) -> None:
+    """Raise SchemaError unless ``d`` is a JSON object with exactly ``fields``."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be an object, got {d!r}")
+    if set(d) - fields:
+        raise SchemaError(f"unknown {what} fields: {sorted(set(d) - fields)}")
+    if fields - set(d):
+        raise SchemaError(f"{what} missing field: {sorted(fields - set(d))[0]!r}")
+
+
+def _param_from_dict(p) -> ParamSpec:
+    if not isinstance(p, dict) or p.get("kind") not in _PARAM_FIELDS:
+        kinds = f"{CONTINUOUS!r} or {CATEGORICAL!r}"
+        raise SchemaError(f"a param must be an object whose field 'kind' is {kinds}, got {p!r}")
+    _fields(p, _PARAM_FIELDS[p["kind"]], f"{p['kind']} param")
+    if not isinstance(p["name"], str):
+        raise SchemaError(f"param field 'name' must be a string, got {p['name']!r}")
+    if p["kind"] == CATEGORICAL:
+        if not (isinstance(p["choices"], list) and all(isinstance(c, str) for c in p["choices"])):
+            raise SchemaError(f"param {p['name']!r}: field 'choices' must be a list of strings, got {p['choices']!r}")
+        return ParamSpec.categorical(p["name"], p["choices"])
+    for key in ("lo", "hi"):
+        if isinstance(p[key], bool) or not isinstance(p[key], (int, float)):
+            raise SchemaError(f"param {p['name']!r}: field {key!r} must be a number, got {p[key]!r}")
+    return ParamSpec.continuous(p["name"], p["lo"], p["hi"])
+
+
+def task_from_dict(d) -> RegressionTask:
+    """The task a JSON task spec describes; SchemaError names the field of a
+    malformed spec, and an invalid task raises ValueError."""
+    _fields(d, {"id", "params", "source"}, "task spec")
+    if not isinstance(d["id"], str):
+        raise SchemaError(f"task spec field 'id' must be a string, got {d['id']!r}")
+    if not isinstance(d["params"], list):
+        raise SchemaError(f"task spec field 'params' must be a list, got {d['params']!r}")
+    source = d["source"]
+    if source == {"kind": "offline"}:
+        function = None
+    elif (isinstance(source, dict) and source.keys() == {"kind", "function"}
+          and source["kind"] == "synthetic" and isinstance(source["function"], str)):
+        function = source["function"]
+    else:
+        shapes = '{"kind": "offline"} or {"kind": "synthetic", "function": <id>}'
+        raise SchemaError(f"task source must be {shapes}, got {source!r}")
+    return RegressionTask(id=d["id"], params=tuple(_param_from_dict(p) for p in d["params"]), function=function)
 
 
 def load_task(path) -> RegressionTask:

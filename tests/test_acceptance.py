@@ -100,7 +100,7 @@ def _train_tau(function: str, dof: int, seed: int, cfg: mlp.TrainConfig,
                embedder_spec: dict | None = None, n: int = 500) -> float:
     task = tasks.synthetic_task(function, dof)
     ds = tasks.sample_uniform(task, n, seed)
-    tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed)
+    tr, va, te = tasks.split_dataset(ds, seed)
     emb = embedders.build_embedder(embedder_spec or {"kind": "traditional"}, task)
     _, _, report = mlp.train_and_evaluate(
         (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg, seed
@@ -189,7 +189,7 @@ def test_c6_smoothness_gap_tracks_performance_gap():
     for function in CATALOG:
         task = tasks.synthetic_task(function, 10)
         ds = tasks.sample_uniform(task, 500, seed=0)
-        tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        tr, va, te = tasks.split_dataset(ds, seed=0)
         taus, samples = {}, {}
         for kind in ("traditional", "scrambled"):
             emb = embedders.build_embedder({"kind": kind}, task)

@@ -85,18 +85,6 @@ def test_out_of_domain_rejected():
         bbob.make("sphere", 2).evaluate([0.0, 5.1])
 
 
-def test_registry_is_pluggable():
-    bbob.register("test_linear_sum", lambda x: float(np.sum(x)))
-    try:
-        assert bbob.make("test_linear_sum", 3).evaluate([1.0, 2.0, 3.0]) == 6.0
-        with pytest.raises(ValueError, match="already registered"):
-            bbob.register("sphere", lambda x: 0.0)
-        with pytest.raises(bbob.UnknownFunctionError):
-            bbob.get("no_such_function")
-    finally:
-        bbob._REGISTRY.pop("test_linear_sum", None)
-
-
 def test_catalog_contents():
     assert set(bbob.CATALOG) == {
         "sphere",

@@ -319,7 +319,7 @@ def test_remote_spec_mistakes_are_usage_errors(runner, tmp_path, keys):
 @pytest.mark.parametrize(
     "args, name",
     [
-        (["sample", "--function", "nope", "--dof", "2"], "--function"),  # an id no bbob.register call added
+        (["sample", "--function", "nope", "--dof", "2"], "--function"),  # an id not in the catalog
         (["report", "plain"], "EXP_DIR"),  # a directory not named <kind>-<config hash>
     ],
 )
@@ -359,6 +359,65 @@ def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, ki
     assert result.exit_code == 2, result.output
     assert re.search(f"Error: Invalid value for '--config': {message}", result.output), result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def _broken(runner, tmp_path, fault):
+    """A sampled 40-row sphere task and table, with one fault: a misspelt
+    param kind or an offline source in the task file, an out-of-range first
+    row, or 15 rows."""
+    task_file, data_file = _sampled(runner, tmp_path)
+    spec = json.loads(task_file.read_text())
+    if fault == "kind":
+        spec["params"][0]["kind"] = "continous"
+    if fault == "offline":
+        spec["source"] = {"kind": "offline"}
+    task_file.write_text(json.dumps(spec))
+    lines = data_file.read_text().splitlines(keepends=True)
+    if fault == "row":
+        lines[1] = "9.0," + lines[1].split(",", 1)[1]
+    if fault == "short":
+        lines = lines[:16]
+    data_file.write_text("".join(lines))
+    return task_file, data_file
+
+
+@pytest.mark.parametrize(
+    "command, fault, option, message",
+    [
+        (["embed", "--embedder", "traditional"], "kind", "--task", "a param must be an object whose field 'kind' is"),
+        (["embed", "--embedder", "traditional"], "row", "--data", "row 1: param 'x0': value 9.0 outside"),
+        (["train", "--embedder", "traditional"], "short", "--data", "a split needs at least 20 rows, got 15"),
+        (["sample"], "offline", "--task", "sample_uniform requires a synthetic task"),
+    ],
+)
+def test_task_files_and_tables_that_cannot_be_used_are_usage_errors(runner, tmp_path, command, fault, option, message):
+    task_file, data_file = _broken(runner, tmp_path, fault)
+    name, *rest = command
+    files = ["--task", str(task_file)] + (["--data", str(data_file)] if name != "sample" else [])
+    result = runner.invoke(main, ["--out", str(tmp_path / "out"), name, *files, *rest])
+    assert result.exit_code == 2, result.output
+    assert f"Error: Invalid value for '{option}': {message}" in result.output, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("kind", "field 'kind' is 'continuous' or 'categorical', got {'name': 'x0', 'kind': 'continous'"),
+        ("row", "row 1: param 'x0': value 9.0 outside"),
+        ("short", "15 rows, fewer than the 20 a split needs"),
+    ],
+)
+def test_offline_tables_are_read_when_the_run_is_planned(runner, tmp_path, fault, message):
+    task_file, data_file = _broken(runner, tmp_path, fault)
+    entry = {"task": str(task_file), "data": str(data_file)}
+    cfg = _write_config(tmp_path / "cfg.json", embedders=TWO_SPECS, offline=[entry])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    assert result.exit_code == 2, result.output
+    assert f"Error: Invalid value for '--config': offline entry {entry}: " in result.output, result.output
+    assert message in result.output and "Traceback" not in result.output
     assert not (tmp_path / "runs").exists()
 
 

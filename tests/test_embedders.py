@@ -328,7 +328,12 @@ def test_build_embedder_rejects_bad_specs(spec, match):
         ({"kind": "scrambled", "dim": -2}, "dim must be a positive integer"),
         ({"kind": "scrambled", "dim": 2.5}, "dim must be a positive integer"),
         ({"kind": "synthetic_transformer", "seed": -1}, "seed must be a non-negative integer"),
-        ({"kind": "synthetic_transformer", "table_seed": -1}, "table_seed must be a non-negative integer"),
+        # the table takes ``seed``; the id keeps this case's place and name in the table
+        pytest.param(
+            {"kind": "synthetic_transformer", "table_seed": 3},
+            r"unknown keys .*\['table_seed'\]",
+            id="spec8-table_seed is an unknown key",
+        ),
         ({"kind": "synthetic_transformer", "layers": 1.5}, "layers must be a positive integer"),
         ({"kind": "scrambled", "seed": "0"}, "seed must be a non-negative integer"),
         ({"kind": "scrambled", "seed": -1}, "seed must be a non-negative integer"),
@@ -391,6 +396,10 @@ def test_build_embedder_config_changes_provenance():
         ({"kind": "scrambled_perm"}, "scrambled_perm:8deb8155af8c"),
         ({"kind": "scrambled", "seed": 3}, "scrambled:27416949cabc"),
         ({"kind": "scrambled_perm", "seed": 3}, "scrambled_perm:27416949cabc"),
+        (
+            {"kind": "synthetic_transformer", "model_dim": 16, "heads": 2, "seed": 3},
+            "synthetic_transformer:3a0fdf5eba85",
+        ),
     ],
 )
 def test_provenance_strings_are_pinned(spec, provenance):

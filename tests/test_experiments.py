@@ -394,12 +394,9 @@ def test_a_summary_write_that_fails_partway_leaves_the_previous_files(tmp_path, 
 def test_offline_tasks_flow_through_comparison(tmp_path):
     from embreg import tasks
 
-    task = tasks.synthetic_task("sphere", 2, task_id="offline-sphere")
+    task = tasks.synthetic_task("sphere", 2)
     ds = tasks.sample_uniform(task, 30, seed=5)
-    offline_task = tasks.RegressionTask(
-        id="offline-sphere",
-        params=task.params,
-    )
+    offline_task = tasks.RegressionTask(id="offline-sphere", params=task.params)
     tasks.save_task(offline_task, tmp_path / "task.json")
     tasks.write_dataset_csv(ds, offline_task, tmp_path / "data.csv")
 
@@ -782,7 +779,7 @@ def test_embedder_spec_check_builds_no_model_and_reads_no_cache(tmp_path, monkey
     cache = tmp_path / "cache.jsonl"
     _cfg(
         embedders=[
-            {"kind": "synthetic_transformer", "model_dim": 16, "heads": 2, "table_seed": 3},
+            {"kind": "synthetic_transformer", "model_dim": 16, "heads": 2, "seed": 3},
             {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m", "cache": str(cache)},
         ]
     )

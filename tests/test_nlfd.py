@@ -158,7 +158,7 @@ def test_smoothness_ordering_matches_regression_ordering():
     """Scrambling a representation must look rougher and regress worse."""
     t = tasks.synthetic_task("sphere", 10)
     ds = tasks.sample_uniform(t, 500, seed=0)
-    tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+    tr, va, te = tasks.split_dataset(ds, seed=0)
     cfg = mlp.TrainConfig(
         learning_rates=(5e-3,), weight_decays=(0.0,), max_epochs=80, patience=15
     )

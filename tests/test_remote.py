@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from embreg import remote
 from embreg.remote import (
     EmbeddingCache,
     EmbeddingServiceError,
@@ -115,6 +116,7 @@ def test_unreachable_endpoint_fails_after_every_attempt(tmp_path):
 
 def test_redirect_is_not_followed(mock_service, tmp_path, monkeypatch):
     monkeypatch.setenv("EMBED_API_KEY", "secret")
+    monkeypatch.setattr(remote, "TIMEOUT_S", 2.0)
     with socket.socket() as target:  # where the 302 points; accepts nothing itself
         target.bind(("127.0.0.1", 0))
         target.listen()
@@ -122,7 +124,7 @@ def test_redirect_is_not_followed(mock_service, tmp_path, monkeypatch):
         mock_service.redirect_to = f"http://127.0.0.1:{target.getsockname()[1]}/steal"
         client = RemoteEmbedder(
             mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
-            max_attempts=2, backoff=0.01, timeout=2.0,
+            max_attempts=2, backoff=0.01,
         )
         with pytest.raises(TransportError, match="302"):
             client.embed_texts(["x"])

@@ -98,42 +98,38 @@ def test_sample_uniform_rejects_offline_task():
 def test_split_sizes_500():
     t = tasks.synthetic_task("sphere", 2)
     ds = tasks.sample_uniform(t, 500, seed=0)
-    tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=3)
+    tr, va, te = tasks.split_dataset(ds, seed=3)
     assert (len(tr), len(va), len(te)) == (400, 50, 50)
 
 
-def test_split_sizes_10():
+def test_split_sizes_20():
     t = tasks.synthetic_task("sphere", 2)
-    ds = tasks.sample_uniform(t, 10, seed=0)
-    tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
-    assert (len(tr), len(va), len(te)) == (8, 1, 1)
+    ds = tasks.sample_uniform(t, 20, seed=0)
+    tr, va, te = tasks.split_dataset(ds, seed=0)
+    assert (len(tr), len(va), len(te)) == (16, 2, 2)
 
 
 def test_split_deterministic():
     t = tasks.synthetic_task("sphere", 3)
     ds = tasks.sample_uniform(t, 50, seed=0)
-    first = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=5)
-    second = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=5)
+    first = tasks.split_dataset(ds, seed=5)
+    second = tasks.split_dataset(ds, seed=5)
     assert first == second
 
 
-def test_split_rejects_bad_ratios_and_small_sets():
-    t = tasks.synthetic_task("sphere", 2)
-    ds = tasks.sample_uniform(t, 100, seed=0)
-    with pytest.raises(ValueError, match="sum to 1"):
-        tasks.split_dataset(ds, (0.8, 0.1, 0.2), seed=0)
-    small = tasks.sample_uniform(t, 9, seed=0)
-    with pytest.raises(SplitError):
-        tasks.split_dataset(small, (0.8, 0.1, 0.1), seed=0)
+def test_split_rejects_fewer_than_min_samples_rows():
+    small = tasks.sample_uniform(tasks.synthetic_task("sphere", 2), tasks.MIN_SAMPLES - 1, seed=0)
+    with pytest.raises(SplitError, match="at least 20 rows, got 19"):
+        tasks.split_dataset(small, seed=0)
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(10, 200), seed=st.integers(0, 2**31 - 1))
+@given(n=st.integers(tasks.MIN_SAMPLES, 200), seed=st.integers(0, 2**31 - 1))
 def test_split_partition_property(n, seed):
     t = tasks.synthetic_task("sphere", 2)
     ds = tasks.sample_uniform(t, n, seed=0)
-    tr, va, te = tasks.split_dataset(ds, (0.8, 0.1, 0.1), seed=seed)
-    assert len(tr) + len(va) + len(te) == n
+    tr, va, te = tasks.split_dataset(ds, seed=seed)
+    assert len(tr) + len(va) + len(te) == n and min(len(va), len(te)) >= 2
     key = lambda x, y: tuple(sorted(x.items())) + (y,)
     merged = sorted(key(x, y) for part in (tr, va, te) for x, y in zip(part.xs, part.y))
     assert merged == sorted(key(x, y) for x, y in zip(ds.xs, ds.y))
@@ -290,3 +286,38 @@ def test_task_file_names_an_unknown_function_id():
     d = tasks.task_to_dict(tasks.synthetic_task("sphere", 2))
     with pytest.raises(ValueError, match="^unknown function 'nope'"):  # not "task spec missing field"
         tasks.task_from_dict({**d, "source": {"kind": "synthetic", "function": "nope"}})
+
+
+def _spec_with(path, value):
+    """The categorical task's spec with ``value`` at ``path``: a top-level key,
+    or ``(param index, key)``; a value of None deletes the key."""
+    d = tasks.task_to_dict(_categorical_task())
+    target, key = (d, path) if isinstance(path, str) else (d["params"][path[0]], path[1])
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        ("extra", 1, r"unknown task spec fields: \['extra'\]"),
+        ((0, "typo"), 1, r"unknown continuous param fields: \['typo'\]"),
+        ((0, "choices"), ["a"], r"unknown continuous param fields: \['choices'\]"),
+        ((0, "kind"), "continous", "field 'kind' is 'continuous' or 'categorical', got .*'continous'"),
+        ((1, "choices"), "ab", "field 'choices' must be a list of strings, got 'ab'"),
+        ((1, "choices"), [1, 2], "field 'choices' must be a list of strings"),
+        ("params", {"lr": 1}, "field 'params' must be a list"),
+        ("params", [5], "a param must be an object"),
+        ("id", 5, "field 'id' must be a string, got 5"),
+        ((0, "name"), 5, "field 'name' must be a string, got 5"),
+        ((0, "lo"), "0", "field 'lo' must be a number, got '0'"),
+        ((0, "hi"), True, "field 'hi' must be a number, got True"),
+        ((1, "name"), None, "categorical param missing field: 'name'"),
+    ],
+)
+def test_task_from_dict_names_the_malformed_field(path, value, match):
+    with pytest.raises(SchemaError, match=match):
+        tasks.task_from_dict(_spec_with(path, value))
