@@ -25,11 +25,12 @@ from .tasks import (
 )
 
 
-def _parse(option: str, fn, *args):
-    """``fn(*args)``, with an OSError, TypeError or ValueError turned into a usage error on ``option``."""
+def _parse(option: str, fn, *args, errors=(OSError, TypeError, ValueError)):
+    """``fn(*args)``, with one of ``errors`` (by default an OSError, TypeError
+    or ValueError) turned into a usage error on ``option``."""
     try:
         return fn(*args)
-    except (OSError, TypeError, ValueError) as e:
+    except errors as e:
         raise click.BadParameter(str(e), param_hint=f"'{option}'") from e
 
 
@@ -75,8 +76,9 @@ def _run_experiment(kind: str) -> None:
         raise click.UsageError("this subcommand requires --config")
     cfg = _parse("--config", experiments.ExperimentConfig.from_file, ctx.obj["config_path"])
     _parse("--config", experiments.plan, kind, cfg)
-    exp_dir = experiments.run_experiment(
-        kind, cfg, ctx.obj["out"], force=ctx.obj["force"], workers=ctx.obj["workers"], echo=click.echo
+    exp_dir = _parse(
+        "--out", experiments.run_experiment, kind, cfg, ctx.obj["out"], ctx.obj["force"], ctx.obj["workers"],
+        click.echo, errors=experiments.RunInUseError,
     )
     click.echo(f"results in {exp_dir}")
 
@@ -90,7 +92,7 @@ for _kind, _experiment in experiments.EXPERIMENTS.items():
 def report(exp_dir):
     """Rebuild summary CSVs from an experiment directory's records."""
     _parse("EXP_DIR", experiments.experiment_kind, exp_dir)
-    experiments.regenerate_summaries(exp_dir)
+    _parse("EXP_DIR", experiments.regenerate_summaries, exp_dir, errors=experiments.RunInUseError)
     click.echo(f"summaries regenerated in {exp_dir}")
 
 
@@ -136,6 +138,12 @@ def _offline_inputs(command):
     return wrapper
 
 
+def _need_rows(ds, n: int, step: str) -> None:
+    """A usage error on ``--data`` unless the table has at least ``n`` rows."""
+    if len(ds) < n:
+        raise click.BadParameter(f"the table has {len(ds)} rows; {step} needs at least {n}", param_hint="'--data'")
+
+
 def _out_dir() -> Path:
     out = click.get_current_context().obj["out"]
     out.mkdir(parents=True, exist_ok=True)
@@ -147,10 +155,11 @@ def _out_dir() -> Path:
 @click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
 def embed(task, ds, build, embedder):
     """Embed an offline data file; writes embeddings.npz."""
+    _need_rows(ds, 1, "embed")
     matrix = build(embedder, "--embedder").embed(ds.xs)
     out = _out_dir()
     np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
-    click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.dim}, {matrix.provenance})")
+    click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.values.shape[1]}, {matrix.provenance})")
 
 
 @main.command()
@@ -180,10 +189,11 @@ def train(ctx, task, ds, build, embedder, train_config):
               help="Also write all pairwise embedding distances per embedder.")
 def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins, export_distances):
     """Roughness-factor histograms for two embedders plus their z-score."""
+    _need_rows(ds, 2, "nlfd")
     out = _out_dir()
     samples = {}
     for tag, embedder in (("a", build(embedder_a, "--embedder-a")), ("b", build(embedder_b, "--embedder-b"))):
-        matrix = embedder.embed(ds.xs)
+        matrix = embedder.embed(ds.xs).values
         samples[tag] = nlfd.nlfd_sample(matrix, ds.y)
         rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(samples[tag], bins)]
         experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)

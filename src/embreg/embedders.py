@@ -49,10 +49,6 @@ class EmbeddingMatrix:
     def rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 def tokenize(text: str) -> list[int]:
     """Byte-level tokenization: one token per UTF-8 byte, vocabulary 256."""
@@ -96,14 +92,14 @@ class VocabTable:
         return "vocab_pool:" + config_hash({"v": BYTE_VOCAB, "width": self.width, "seed": self.seed})
 
 
-def embed_vocab_pool(texts: list[str], table: VocabTable) -> EmbeddingMatrix:
+def embed_vocab_pool(texts: list[str], table: VocabTable) -> np.ndarray:
     """Average each text's token vectors; no positional information survives."""
     if not texts:
         raise ValueError("texts must be non-empty")
     rows = np.empty((len(texts), table.width))
     for i, text in enumerate(texts):
         rows[i] = table.entries[tokenize(text)].mean(axis=0)
-    return EmbeddingMatrix(values=rows, provenance=table.provenance)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -227,24 +223,21 @@ class SyntheticTransformer:
             self._memo[text] = vec
         return vec
 
-    def embed(self, texts: list[str]) -> EmbeddingMatrix:
+    def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("texts must be non-empty")
-        return EmbeddingMatrix(
-            values=np.stack([self.encode(t) for t in texts]), provenance=self.provenance
-        )
+        return np.stack([self.encode(t) for t in texts])
 
 
-def embed_traditional(task: RegressionTask, xs: list[dict]) -> EmbeddingMatrix:
+def embed_traditional(task: RegressionTask, xs: list[dict]) -> np.ndarray:
     """Row-wise traditional featurization; dimension is the task's d_trad."""
-    width = d_trad(task)
-    rows = np.zeros((len(xs), width))
+    rows = np.zeros((len(xs), d_trad(task)))
     for i, x in enumerate(xs):
         rows[i] = featurize_traditional(task, x)
-    return EmbeddingMatrix(values=rows, provenance="traditional:" + config_hash({"d": width}))
+    return rows
 
 
-def embed_hash_scrambled(texts: list[str], dim: int, seed: int = 0) -> EmbeddingMatrix:
+def embed_hash_scrambled(texts: list[str], dim: int, seed: int) -> np.ndarray:
     """Map each distinct text to an unrelated pseudorandom Gaussian vector.
 
     A negative control: all geometric structure of the inputs is destroyed,
@@ -255,59 +248,63 @@ def embed_hash_scrambled(texts: list[str], dim: int, seed: int = 0) -> Embedding
     for i, text in enumerate(texts):
         rng = np.random.default_rng(_hash_seed("scrambled", str(seed), text))
         rows[i] = rng.standard_normal(dim)
-    return EmbeddingMatrix(
-        values=rows, provenance="scrambled:" + config_hash({"dim": dim, "seed": seed})
-    )
+    return rows
 
 
-def embed_scrambled_permutation(
-    task: RegressionTask, xs: list[dict], seed: int = 0
-) -> EmbeddingMatrix:
+def embed_scrambled_permutation(task: RegressionTask, xs: list[dict], seed: int) -> np.ndarray:
     """Permute each row's traditional features by a hash of that row.
 
     Weaker scramble than :func:`embed_hash_scrambled`: coordinate roles are
     shuffled per point, but the multiset of feature values survives, so
     objectives symmetric in their coordinates are unaffected in distribution.
     """
-    base = embed_traditional(task, xs)
+    rows = embed_traditional(task, xs)
     fmt = StringFormat(float_precision=17)
-    rows = np.empty_like(base.values)
     for i, x in enumerate(xs):
         key = serialize(task, x, fmt)
         rng = np.random.default_rng(_hash_seed("scrambled_perm", str(seed), key))
-        rows[i] = base.values[i][rng.permutation(base.dim)]
-    return EmbeddingMatrix(
-        values=rows,
-        provenance="scrambled_perm:" + config_hash({"dim": base.dim, "seed": seed}),
-    )
+        rows[i] = rows[i][rng.permutation(rows.shape[1])]
+    return rows
 
 
 class Embedder:
-    """A backend bound to a task: embeds lists of assignments. Provenance
-    travels on the matrices ``embed`` returns."""
+    """A backend bound to a task, with the provenance fixed when it was
+    built: ``embed`` wraps each matrix of the backend in the one place
+    that checks it and stamps that provenance on it."""
 
-    def __init__(self, kind: str, fn):
+    def __init__(self, kind: str, fn, provenance: str):
         self.kind = kind
         self._fn = fn
+        self.provenance = provenance
 
     def embed(self, xs: list[dict]) -> EmbeddingMatrix:
-        return self._fn(xs)
+        return EmbeddingMatrix(values=self._fn(xs), provenance=self.provenance)
+
+
+def _traditional(task, texts):
+    return partial(embed_traditional, task), "traditional:" + config_hash({"d": d_trad(task)})
 
 
 def _vocab_pool(task, texts, **options):
     table = VocabTable.create(**options)
-    return lambda xs: embed_vocab_pool(texts(xs), table)
+    return (lambda xs: embed_vocab_pool(texts(xs), table)), table.provenance
 
 
 def _synthetic_transformer(task, texts, **options):
     cfg = SyntheticTransformerConfig(**options)
     model = SyntheticTransformer(cfg, VocabTable.create(cfg.model_dim, cfg.seed))
-    return lambda xs: model.embed(texts(xs))
+    return (lambda xs: model.embed(texts(xs))), model.provenance
 
 
-def _scrambled(task, texts, dim=None, **options):
+def _scrambled(task, texts, dim=None, seed=0):
     dim = dim or d_trad(task)
-    return lambda xs: embed_hash_scrambled(texts(xs), dim, **options)
+    provenance = "scrambled:" + config_hash({"dim": dim, "seed": seed})
+    return (lambda xs: embed_hash_scrambled(texts(xs), dim, seed)), provenance
+
+
+def _scrambled_perm(task, texts, seed=0):
+    provenance = "scrambled_perm:" + config_hash({"dim": d_trad(task), "seed": seed})
+    return partial(embed_scrambled_permutation, task, seed=seed), provenance
 
 
 def _check_remote(endpoint, model, cache="", backoff=0, **counts) -> None:
@@ -323,15 +320,16 @@ def _remote(task, texts, cache=None, **options):
     from .remote import RemoteEmbedder  # looked up per build: remote imports this module
 
     client = RemoteEmbedder(cache_path=cache, **options)
-    return lambda xs: client.embed_texts(texts(xs))
+    return (lambda xs: client.embed_texts(texts(xs))), client.provenance
 
 
 @dataclass(frozen=True)
 class Backend:
     """An embedder kind: the spec keys it takes besides ``kind``, and
-    ``build(task, texts, **keys) -> embed``, where
-    ``texts(xs)`` serializes assignments in the run's string format. Key
-    defaults live in the function, config or constructor the build calls.
+    ``build(task, texts, **keys) -> (embed, provenance)``, where ``embed(xs)``
+    returns a float64 array and ``texts(xs)`` serializes assignments in the
+    run's string format. Key defaults live in the build, or in the config or
+    constructor it calls.
     ``check(**keys)`` raises TypeError or ValueError for keys that
     cannot build, without building a model or touching a file or network."""
 
@@ -342,7 +340,7 @@ class Backend:
 
 #: Every embedder kind, keyed by the spec's ``kind``.
 BACKENDS = {
-    "traditional": Backend((), lambda task, texts: partial(embed_traditional, task)),
+    "traditional": Backend((), _traditional),
     "vocab_pool": Backend(
         ("width", "seed"), _vocab_pool, check=lambda **keys: check_integers(keys, width=1, seed=0)
     ),
@@ -350,11 +348,7 @@ BACKENDS = {
         ("layers", "model_dim", "heads", "ff_dim", "seed"), _synthetic_transformer, check=SyntheticTransformerConfig
     ),
     "scrambled": Backend(("dim", "seed"), _scrambled, check=lambda **keys: check_integers(keys, dim=1, seed=0)),
-    "scrambled_perm": Backend(
-        ("seed",),
-        lambda task, texts, **options: partial(embed_scrambled_permutation, task, **options),
-        check=lambda **keys: check_integers(keys, seed=0),
-    ),
+    "scrambled_perm": Backend(("seed",), _scrambled_perm, check=lambda **keys: check_integers(keys, seed=0)),
     "remote": Backend(
         ("endpoint", "model", "cache", "batch_size", "max_attempts", "backoff", "max_inflight"),
         _remote,
@@ -392,4 +386,4 @@ def build_embedder(spec: dict, task: RegressionTask, fmt: StringFormat | None = 
     fmt = fmt or StringFormat()
     options = {k: v for k, v in spec.items() if k != "kind"}
     texts = lambda xs: [serialize(task, x, fmt) for x in xs]
-    return Embedder(spec["kind"], BACKENDS[spec["kind"]].build(task, texts, **options))
+    return Embedder(spec["kind"], *BACKENDS[spec["kind"]].build(task, texts, **options))

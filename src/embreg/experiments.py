@@ -13,6 +13,7 @@ configs produce byte-identical summary files.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import math
@@ -21,7 +22,8 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import combinations, product
 from operator import itemgetter
@@ -34,9 +36,10 @@ from .embedders import Embedder, build_embedder, canonical_json, check_spec, con
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .jsonl import JsonlLog
 from .mlp import TrainConfig, train_and_evaluate
-from .nlfd import EmbeddingMatrix, lipschitz_factors, normalize_embeddings, zscore
+from .nlfd import lipschitz_factors, normalize_embeddings, zscore
 from .tasks import (
     MIN_SAMPLES,
+    Dataset,
     RegressionTask,
     check_integers,
     from_json,
@@ -102,7 +105,6 @@ class RunStore:
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "records.jsonl"
         self.log = JsonlLog(self.path, key=itemgetter("cell"), dumps=partial(json.dumps, sort_keys=True))
 
@@ -132,6 +134,7 @@ class TaskInstance:
     family: str
     task: RegressionTask
     data_path: str | None = None  # offline source, sampled when None
+    dataset: Dataset | None = field(default=None, compare=False, repr=False)  # the table read from data_path
 
     @property
     def inputs(self):
@@ -154,18 +157,14 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
         for key, what in (("task", "task file"), ("data", "data table")):
             if not Path(entry[key]).is_file():
                 raise ValueError(f"offline {what} {entry[key]!r} does not exist")
-        try:  # the cells read the table again; reading it here makes a bad one a config error, not N failed cells
+        try:  # read once, here, so a bad table is a config error, not N failed cells
             task = load_task(entry["task"])
-            rows = len(ingest_offline(entry["data"], task))
+            ds = ingest_offline(entry["data"], task)
         except ValueError as e:
             raise ValueError(f"offline entry {entry}: {e}") from e
-        if rows < MIN_SAMPLES:
-            raise ValueError(f"offline entry {entry}: {rows} rows, fewer than the {MIN_SAMPLES} a split needs")
-        instances.append(
-            TaskInstance(
-                family=entry.get("family", task.id), task=task, data_path=entry["data"]
-            )
-        )
+        if len(ds) < MIN_SAMPLES:
+            raise ValueError(f"offline entry {entry}: {len(ds)} rows, fewer than the {MIN_SAMPLES} a split needs")
+        instances.append(TaskInstance(entry.get("family", task.id), task, entry["data"], ds))
     return instances
 
 
@@ -175,19 +174,16 @@ def _cell_key(**parts) -> str:
 
 def _sample_and_split(instance: TaskInstance, n_samples: int, seed: int) -> tuple[int, tuple]:
     """The instance's dataset size and its (train, validation, test) split."""
-    if instance.data_path is None:
-        ds = sample_uniform(instance.task, n_samples, seed)
-    else:
-        ds = ingest_offline(instance.data_path, instance.task)
+    ds = sample_uniform(instance.task, n_samples, seed) if instance.data_path is None else instance.dataset
     return len(ds), split_dataset(ds, seed)
 
 
 def _embed_parts(embedder: Embedder, parts) -> tuple[str, str, tuple]:
     """The embedder's kind, provenance and read-only matrices of the split."""
-    matrices = tuple(embedder.embed(part.xs) for part in parts)
+    matrices = tuple(embedder.embed(part.xs).values for part in parts)
     for m in matrices:
-        m.values.flags.writeable = False
-    return embedder.kind, matrices[0].provenance, matrices
+        m.flags.writeable = False
+    return embedder.kind, embedder.provenance, matrices
 
 
 def run_cell(
@@ -228,11 +224,7 @@ def run_cell(
 
     _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), train, seed)
 
-    pooled = EmbeddingMatrix(
-        values=np.vstack([m_train.values, m_val.values, m_test.values]),
-        provenance=m_train.provenance,
-    )
-    sample = lipschitz_factors(normalize_embeddings(pooled), np.concatenate([y_train, y_val, y_test]))
+    sample = lipschitz_factors(normalize_embeddings(np.vstack(matrices)), np.concatenate([y_train, y_val, y_test]))
 
     return {
         "status": "ok",
@@ -529,19 +521,41 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     return cells
 
 
+class RunInUseError(RuntimeError):
+    """Another run or report holds the run directory's lock."""
+
+
+@contextmanager
+def _locked(directory: Path):
+    """Hold an exclusive ``flock`` on ``directory/.lock`` for the block, or
+    raise :class:`RunInUseError` at once if anyone else holds it. The file
+    stays; the kernel drops the lock when its holder exits, even by a kill."""
+    path = directory / ".lock"
+    with open(path, "a") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RunInUseError(f"run directory is in use: another run or report holds {path}") from None
+        yield
+
+
 def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
     """Run the cells of one :data:`EXPERIMENTS` kind into
     ``out_root/<kind>-<config hash>``, skipping completed ones unless
-    ``force``, then write its summaries and ``status.json``.
+    ``force``, then write its summaries and ``status.json``, all under the
+    directory's lock.
 
     Config mistakes raise ValueError from :func:`plan` before any cell runs.
     """
     cells = plan(kind, cfg)
-    store = RunStore(Path(out_root) / f"{kind}-{cfg.config_hash()}")
-    _write_atomic(store.directory / "config.json", canonical_json(asdict(cfg)) + "\n")
-    _execute_cells(store, cells, force, workers, echo)
-    _summarize(kind, store, echo)
-    return store.directory
+    directory = Path(out_root) / f"{kind}-{cfg.config_hash()}"
+    directory.mkdir(parents=True, exist_ok=True)
+    with _locked(directory):
+        store = RunStore(directory)
+        _write_atomic(directory / "config.json", canonical_json(asdict(cfg)) + "\n")
+        _execute_cells(store, cells, force, workers, echo)
+        _summarize(kind, store, echo)
+    return directory
 
 
 run_dof_sweep = partial(run_experiment, "sweep-dof")
@@ -575,5 +589,7 @@ def experiment_kind(exp_dir) -> str:
 
 
 def regenerate_summaries(exp_dir) -> None:
-    """Rebuild summary CSVs for an existing experiment directory."""
-    _summarize(experiment_kind(exp_dir), RunStore(exp_dir))
+    """Rebuild summary CSVs for an existing experiment directory, under its lock."""
+    kind = experiment_kind(exp_dir)
+    with _locked(Path(exp_dir)):
+        _summarize(kind, RunStore(exp_dir))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedders import EmbeddingMatrix
 from .metrics import bundle
 from .tasks import check_integers, from_json
 
@@ -45,12 +44,6 @@ class TrainingFailedError(RuntimeError):
     def __init__(self, message: str, sweep: list[dict]):
         super().__init__(message)
         self.sweep = sweep
-
-
-def _as_array(features) -> np.ndarray:
-    if isinstance(features, EmbeddingMatrix):
-        return features.values
-    return np.asarray(features, dtype=np.float64)
 
 
 def _param_shapes(input_dim: int) -> tuple[tuple[int, ...], ...]:
@@ -125,7 +118,7 @@ def _layers(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def forward(model: MlpModel, features) -> np.ndarray:
-    x = _as_array(features)
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"features must be (n, {model.input_dim}), got {x.shape}")
     return _layers(model, x)[3] + model.b3[0]
@@ -139,7 +132,7 @@ def loss_and_grad(
     ReLU uses subgradient 0 at the kink. The gradient fills ``grads`` when
     given, and a new buffer otherwise, so no later call overwrites one it returned.
     """
-    x = _as_array(features)
+    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     n = y.size
     if x.shape[0] != n:
@@ -334,8 +327,8 @@ def train(
     arena.
     """
     cfg = cfg or TrainConfig()
-    x, y = _as_array(train_data[0]), np.asarray(train_data[1], dtype=np.float64)
-    xv, yv = _as_array(val_data[0]), np.asarray(val_data[1], dtype=np.float64)
+    x, y = np.asarray(train_data[0], dtype=np.float64), np.asarray(train_data[1], dtype=np.float64)
+    xv, yv = np.asarray(val_data[0], dtype=np.float64), np.asarray(val_data[1], dtype=np.float64)
     if x.shape[0] == 0 or xv.shape[0] == 0:
         raise ValueError("train and validation sets must be non-empty")
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedders import EmbeddingMatrix
-
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
 #: Rows per block of the nearest-neighbor search: one (block, n) slab of
@@ -51,19 +49,19 @@ class NlfdSample:
         return int(self.factors.size)
 
 
-def normalize_embeddings(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Shift and scale each coordinate to zero mean, unit variance over the
-    batch. Near-constant coordinates are centered but left unscaled."""
-    if m.rows < 2:
+def normalize_embeddings(values: np.ndarray) -> np.ndarray:
+    """Shift and scale each coordinate of an (n, d) matrix to zero mean, unit
+    variance over the batch. Near-constant coordinates are centered but left
+    unscaled."""
+    if len(values) < 2:
         raise ValueError("need at least 2 rows to normalize")
-    values = m.values
     mean = values.mean(axis=0)
     var = values.var(axis=0)
     scale = np.where(var < _VARIANCE_FLOOR, 1.0, np.sqrt(var))
-    return EmbeddingMatrix(values=(values - mean) / scale, provenance=m.provenance)
+    return (values - mean) / scale
 
 
-def lipschitz_factors(m_norm: EmbeddingMatrix, y) -> NlfdSample:
+def lipschitz_factors(values: np.ndarray, y) -> NlfdSample:
     """Nearest-neighbor roughness factors of a standardized embedding.
 
     For each row, the nearest other row by Euclidean distance is found (ties
@@ -73,12 +71,11 @@ def lipschitz_factors(m_norm: EmbeddingMatrix, y) -> NlfdSample:
     silently.
     """
     labels = np.asarray(y, dtype=np.float64)
-    if m_norm.rows != labels.size:
-        raise ValueError(f"row count mismatch: {m_norm.rows} embeddings vs {labels.size} labels")
-    if m_norm.rows < 2:
+    n, dim = values.shape
+    if n != labels.size:
+        raise ValueError(f"row count mismatch: {n} embeddings vs {labels.size} labels")
+    if n < 2:
         raise ValueError("need at least 2 rows")
-    values = m_norm.values
-    n = m_norm.rows
     sq_norms = np.sum(values * values, axis=1)
     # Exact O(n^2) search: determinism matters more than speed at this scale.
     # Blocks of rows take (sq_i + sq_j) - 2 * G_ij from one Gram product, so
@@ -99,19 +96,19 @@ def lipschitz_factors(m_norm: EmbeddingMatrix, y) -> NlfdSample:
     excluded = int(keep.size - np.count_nonzero(keep))
     if excluded == keep.size:
         raise EmptySampleError(f"all {excluded} nearest-neighbor pairs were degenerate")
-    arr = math.sqrt(m_norm.dim) * np.abs(labels - labels[nearest])[keep] / dist[keep]
+    arr = math.sqrt(dim) * np.abs(labels - labels[nearest])[keep] / dist[keep]
     return NlfdSample(
         factors=arr,
-        dim=m_norm.dim,
+        dim=dim,
         excluded_pairs=excluded,
         mu=float(arr.mean()),
         sigma=float(arr.std()),
     )
 
 
-def nlfd_sample(m: EmbeddingMatrix, y) -> NlfdSample:
+def nlfd_sample(values: np.ndarray, y) -> NlfdSample:
     """Standardize then compute factors; the usual entry point."""
-    return lipschitz_factors(normalize_embeddings(m), y)
+    return lipschitz_factors(normalize_embeddings(values), y)
 
 
 def zscore(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -140,18 +137,17 @@ def histogram(sample: NlfdSample, bins: int) -> list[tuple[tuple[float, float], 
     ]
 
 
-def pairwise_distance_export(m: EmbeddingMatrix, labels) -> list[tuple[int, int, float, float, float]]:
+def pairwise_distance_export(values: np.ndarray, labels) -> list[tuple[int, int, float, float, float]]:
     """All unordered pair distances with each endpoint's label attached.
 
     Returns (i, j, distance, label_i, label_j) for i < j: n(n-1)/2 records,
     ready for external scatter/projection tooling.
     """
     lab = np.asarray(labels, dtype=np.float64)
-    if lab.size != m.rows:
-        raise ValueError(f"label count {lab.size} != row count {m.rows}")
-    values = m.values
+    if lab.size != len(values):
+        raise ValueError(f"label count {lab.size} != row count {len(values)}")
     records = []
-    for i in range(m.rows - 1):
+    for i in range(len(values) - 1):
         diffs = values[i + 1 :] - values[i]
         dists = np.sqrt(np.sum(diffs * diffs, axis=1))
         for offset, dist in enumerate(dists):

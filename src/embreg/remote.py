@@ -26,7 +26,7 @@ from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 import numpy as np
 
-from .embedders import EmbeddingMatrix, config_hash
+from .embedders import config_hash
 from .jsonl import JsonlLog
 
 API_KEY_ENV = "EMBED_API_KEY"
@@ -207,7 +207,7 @@ class RemoteEmbedder:
                 raise EmbeddingServiceError("response contains non-finite values")
         return vectors
 
-    def embed_texts(self, texts: list[str]) -> EmbeddingMatrix:
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
         """Embed texts in input order; cache hits never touch the network."""
         if not texts:
             raise ValueError("texts must be non-empty")
@@ -233,6 +233,5 @@ class RemoteEmbedder:
         dims = {resolved[t].size for t in texts}
         if len(dims) != 1:
             raise EmbeddingServiceError(f"mixed embedding dims across texts: {sorted(dims)}")
-        values = np.stack([resolved[t] for t in texts])
-        return EmbeddingMatrix(values=values, provenance=self.provenance)
+        return np.stack([resolved[t] for t in texts])
 

@@ -103,7 +103,7 @@ def _train_tau(function: str, dof: int, seed: int, cfg: mlp.TrainConfig,
     tr, va, te = tasks.split_dataset(ds, seed)
     emb = embedders.build_embedder(embedder_spec or {"kind": "traditional"}, task)
     _, _, report = mlp.train_and_evaluate(
-        (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg, seed
+        (emb.embed(tr.xs).values, tr.y), (emb.embed(va.xs).values, va.y), (emb.embed(te.xs).values, te.y), cfg, seed
     )
     return report.metrics["kendall_tau"]
 
@@ -158,14 +158,10 @@ def test_c5_nlfd_trivia():
 
     assert nlfd.zscore((sample.mu, sample.sigma), (sample.mu, sample.sigma)) == 0.0
 
-    scaled = nlfd.nlfd_sample(
-        embedders.EmbeddingMatrix(values=m.values * 1000.0, provenance="s"), ds.y
-    )
+    scaled = nlfd.nlfd_sample(m * 1000.0, ds.y)
     assert np.max(np.abs(sample.factors - scaled.factors)) <= 1e-9
 
-    dup = nlfd.nlfd_sample(
-        embedders.EmbeddingMatrix(values=np.tile(m.values, (1, 4)), provenance="d"), ds.y
-    )
+    dup = nlfd.nlfd_sample(np.tile(m, (1, 4)), ds.y)
     assert dup.dim == 4 * sample.dim
     assert dup.n == sample.n
     assert np.max(np.abs(sample.factors - dup.factors)) <= 1e-9
@@ -194,11 +190,11 @@ def test_c6_smoothness_gap_tracks_performance_gap():
         for kind in ("traditional", "scrambled"):
             emb = embedders.build_embedder({"kind": kind}, task)
             _, _, report = mlp.train_and_evaluate(
-                (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y),
-                (emb.embed(te.xs), te.y), cfg, seed=0,
+                (emb.embed(tr.xs).values, tr.y), (emb.embed(va.xs).values, va.y),
+                (emb.embed(te.xs).values, te.y), cfg, seed=0,
             )
             taus[kind] = report.metrics["kendall_tau"]
-            samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs), ds.y)
+            samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs).values, ds.y)
         a, b = samples["traditional"], samples["scrambled"]
         zs.append(nlfd.zscore((a.mu, a.sigma), (b.mu, b.sigma)))
         gaps.append(taus["scrambled"] - taus["traditional"])
@@ -324,7 +320,7 @@ def test_c8_remote_embedder_contract(mock_service, tmp_path):
     from conftest import deterministic_embedding
 
     for i, text in enumerate(texts):
-        assert np.allclose(out.values[i], deterministic_embedding(text, 8))
+        assert np.allclose(out[i], deterministic_embedding(text, 8))
 
     count_after_fill = mock_service.request_count
     fresh = RemoteEmbedder(
@@ -333,7 +329,7 @@ def test_c8_remote_embedder_contract(mock_service, tmp_path):
     )
     again = fresh.embed_texts(texts)
     assert mock_service.request_count == count_after_fill  # full cache hit
-    assert np.array_equal(again.values, out.values)
+    assert np.array_equal(again, out)
 
     mock_service.always_fail = True
     failing = RemoteEmbedder(

@@ -191,7 +191,7 @@ def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     from embreg import experiments
     from embreg.featurize import StringFormat
     from embreg.mlp import TrainConfig, load_model
-    from embreg.tasks import load_task
+    from embreg.tasks import ingest_offline, load_task
 
     task_file, data_file = _sampled(runner, tmp_path)
     spec = {"kind": "vocab_pool", "width": 16}
@@ -205,7 +205,7 @@ def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text())
     task = load_task(task_file)
-    instance = experiments.TaskInstance(family=task.id, task=task, data_path=str(data_file))
+    instance = experiments.TaskInstance(task.id, task, str(data_file), ingest_offline(data_file, task))
     fmt = StringFormat("values_only", 3, True)
     train = TrainConfig.from_overrides(FAST_TRAIN)
     rec = experiments.run_cell(instance, spec, seed=2, n_samples=40, fmt=fmt, train=train)
@@ -448,3 +448,48 @@ def test_embedding_errors_still_propagate(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 1
     assert isinstance(result.exception, ValueError) and str(result.exception) == "embedding failed"
+
+
+@pytest.mark.parametrize(
+    "command, rows, step, least",
+    [
+        (["embed", "--embedder", "traditional"], 0, "embed", 1),
+        (["embed", "--embedder", "vocab_pool"], 0, "embed", 1),
+        (["nlfd", "--embedder-a", "traditional", "--embedder-b", "vocab_pool"], 0, "nlfd", 2),
+        (["nlfd", "--embedder-a", "traditional", "--embedder-b", "vocab_pool"], 1, "nlfd", 2),
+    ],
+)
+def test_tables_too_small_for_a_one_off_step_are_usage_errors(runner, tmp_path, command, rows, step, least):
+    task_file, data_file = _sampled(runner, tmp_path)
+    lines = data_file.read_text().splitlines(keepends=True)
+    data_file.write_text("".join(lines[: 1 + rows]))  # the header and ``rows`` rows
+    name, *rest = command
+    result = runner.invoke(
+        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"Error: Invalid value for '--data': the table has {rows} rows; {step} needs at least {least}" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_or_report_on_a_locked_run_directory_is_a_usage_error(runner, tmp_path):
+    import fcntl
+
+    from embreg.experiments import ExperimentConfig
+
+    cfg_file = _write_config(tmp_path / "cfg.json")
+    exp_dir = tmp_path / "runs" / f"sweep-dof-{ExperimentConfig.from_file(cfg_file).config_hash()}"
+    exp_dir.mkdir(parents=True)
+    with open(exp_dir / ".lock", "a") as f:  # this process holds the lock on its own descriptor
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for args, name in (
+            (["--config", str(cfg_file), "--out", str(tmp_path / "runs"), "sweep-dof"], "--out"),
+            (["report", str(exp_dir)], "EXP_DIR"),
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert f"Error: Invalid value for '{name}': run directory is in use" in result.output
+            assert str(exp_dir / ".lock") in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert [p.name for p in exp_dir.iterdir()] == [".lock"]

@@ -49,21 +49,21 @@ def test_vocab_table_deterministic():
 def test_vocab_pool_single_token_is_table_row():
     table = VocabTable.create(width=8, seed=0)
     out = embedders.embed_vocab_pool(["a"], table)
-    assert np.array_equal(out.values[0], table.entries[ord("a")])
+    assert np.array_equal(out[0], table.entries[ord("a")])
 
 
 def test_vocab_pool_mean_idempotent_on_repeats():
     table = VocabTable.create(width=8, seed=0)
     one = embedders.embed_vocab_pool(["a"], table)
     two = embedders.embed_vocab_pool(["aa"], table)
-    assert np.allclose(one.values, two.values)
+    assert np.allclose(one, two)
 
 
 def test_vocab_pool_order_invariant():
     table = VocabTable.create(width=8, seed=0)
     ab = embedders.embed_vocab_pool(["ab"], table)
     ba = embedders.embed_vocab_pool(["ba"], table)
-    assert np.allclose(ab.values, ba.values)
+    assert np.allclose(ab, ba)
 
 
 def test_vocab_pool_seed_changes_output():
@@ -71,8 +71,8 @@ def test_vocab_pool_seed_changes_output():
     t2 = VocabTable.create(width=8, seed=2)
     a = embedders.embed_vocab_pool(["hello"], t1)
     b = embedders.embed_vocab_pool(["hello"], t2)
-    assert not np.allclose(a.values, b.values)
-    assert a.provenance != b.provenance
+    assert not np.allclose(a, b)
+    assert t1.provenance != t2.provenance
 
 
 def _transformer(seed=0, model_dim=32):
@@ -84,23 +84,23 @@ def _transformer(seed=0, model_dim=32):
 def test_transformer_output_dim_and_determinism():
     cfg, table = _transformer()
     out = SyntheticTransformer(cfg, table).embed(["x0:0.32,x1:4.0", "zz"])
-    assert out.values.shape == (2, 32)
+    assert out.shape == (2, 32)
     again = SyntheticTransformer(cfg, table).embed(["x0:0.32,x1:4.0", "zz"])
-    assert np.array_equal(out.values, again.values)
+    assert np.array_equal(out, again)
 
 
 def test_transformer_batch_permutation():
     cfg, table = _transformer()
     ab = SyntheticTransformer(cfg, table).embed(["first", "second"])
     ba = SyntheticTransformer(cfg, table).embed(["second", "first"])
-    assert np.array_equal(ab.values[0], ba.values[1])
-    assert np.array_equal(ab.values[1], ba.values[0])
+    assert np.array_equal(ab[0], ba[1])
+    assert np.array_equal(ab[1], ba[0])
 
 
 def test_transformer_token_order_matters():
     cfg, table = _transformer()
     out = SyntheticTransformer(cfg, table).embed(["ab", "ba"])
-    assert not np.allclose(out.values[0], out.values[1])
+    assert not np.allclose(out[0], out[1])
 
 
 def test_transformer_attention_rows_sum_to_one():
@@ -229,7 +229,7 @@ def test_encode_memo_hit_is_bit_identical_to_fresh_model(monkeypatch):
         assert a is b
         assert not a.flags.writeable
         assert np.array_equal(a, fresh.encode(t))
-    assert np.array_equal(SyntheticTransformer(cfg, table).embed(texts).values, np.stack(first))
+    assert np.array_equal(SyntheticTransformer(cfg, table).embed(texts), np.stack(first))
 
 
 def test_transformer_dim_mismatch_rejected():
@@ -255,24 +255,24 @@ def test_embed_traditional_shape_and_rows():
     )
     xs = [{"a": 0.5, "b": 0.25, "c": "v"}, {"a": 0.0, "b": 1.0, "c": "u"}, {"a": 1.0, "b": 0.0, "c": "w"}]
     out = embedders.embed_traditional(task, xs)
-    assert out.values.shape == (3, 5)
-    for row, x in zip(out.values, xs):
+    assert out.shape == (3, 5)
+    for row, x in zip(out, xs):
         assert np.array_equal(row, featurize.featurize_traditional(task, x))
 
 
 def test_embed_traditional_empty_input():
     task = tasks.synthetic_task("sphere", 5)
     out = embedders.embed_traditional(task, [])
-    assert out.values.shape == (0, 5)
+    assert out.shape == (0, 5)
 
 
 def test_hash_scrambled_deterministic_and_unstructured():
     texts = ["{x0:1.0}", "{x0:1.01}"]
     a = embedders.embed_hash_scrambled(texts, dim=16, seed=0)
     b = embedders.embed_hash_scrambled(texts, dim=16, seed=0)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     # Near-identical inputs map far apart.
-    assert np.linalg.norm(a.values[0] - a.values[1]) > 1.0
+    assert np.linalg.norm(a[0] - a[1]) > 1.0
 
 
 def test_scrambled_permutation_preserves_multiset():
@@ -280,18 +280,21 @@ def test_scrambled_permutation_preserves_multiset():
     ds = tasks.sample_uniform(task, 4, seed=0)
     base = embedders.embed_traditional(task, ds.xs)
     scrambled = embedders.embed_scrambled_permutation(task, ds.xs, seed=0)
-    for orig, perm in zip(base.values, scrambled.values):
+    for orig, perm in zip(base, scrambled):
         assert sorted(orig) == pytest.approx(sorted(perm))
 
 
-def test_build_embedder_kinds_and_provenance():
+def test_build_embedder_kinds_and_provenance(mock_service):
     task = tasks.synthetic_task("sphere", 3)
     ds = tasks.sample_uniform(task, 5, seed=0)
-    kinds = ["traditional", "vocab_pool", "synthetic_transformer", "scrambled", "scrambled_perm"]
+    kinds = ["traditional", "vocab_pool", "synthetic_transformer", "scrambled", "scrambled_perm", "remote"]
     provs = set()
     for kind in kinds:
-        emb = embedders.build_embedder({"kind": kind}, task)
+        spec = {"kind": kind, "endpoint": mock_service.endpoint, "model": "m"} if kind == "remote" else {"kind": kind}
+        emb = embedders.build_embedder(spec, task)
+        provenance = emb.provenance  # fixed when built, before any embed
         out = emb.embed(ds.xs)
+        assert out.provenance == provenance
         assert out.rows == 5
         assert out.provenance.startswith(kind + ":")
         assert emb.embed(ds.xs[:2]).provenance == out.provenance

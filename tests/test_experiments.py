@@ -1,7 +1,15 @@
 import csv
+import fcntl
 import gc
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -666,10 +674,10 @@ def test_functions_of_one_input_set_get_equal_matrices(monkeypatch):
     for part in range(3):
         m, y = sphere[part]
         assert rastrigin[part][0] is m  # one read-only matrix serves both functions
-        assert not m.values.flags.writeable
+        assert not m.flags.writeable
         assert not np.array_equal(rastrigin[part][1], y)
         for got, want in ((sphere, sphere_alone), (rastrigin, rastrigin_alone)):
-            assert np.array_equal(got[part][0].values, want[part][0].values)
+            assert np.array_equal(got[part][0], want[part][0])
             assert np.array_equal(got[part][1], want[part][1])
     for a, b in zip(shared, alone):
         assert {k: v for k, v in a.items() if k not in ("elapsed_s", "ts")} == {
@@ -955,3 +963,103 @@ def test_plans_with_no_cells_or_a_repeated_cell_key_fail_before_any_cell(tmp_pat
     with pytest.raises(ValueError, match=match):
         experiments.run_experiment(kind, _cfg(**overrides), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_offline_table_is_read_once_per_run(tmp_path, monkeypatch):
+    from embreg import tasks
+
+    task = tasks.synthetic_task("sphere", 2)
+    offline_task = tasks.RegressionTask(id="offline-sphere", params=task.params)
+    tasks.save_task(offline_task, tmp_path / "task.json")
+    tasks.write_dataset_csv(tasks.sample_uniform(task, 40, seed=5), offline_task, tmp_path / "data.csv")
+    reads = []
+    original = experiments.ingest_offline
+    monkeypatch.setattr(experiments, "ingest_offline", lambda *a: reads.append(a) or original(*a))
+    cfg = _cfg(
+        functions=[],
+        dofs=[],
+        offline=[{"task": str(tmp_path / "task.json"), "data": str(tmp_path / "data.csv")}],
+        embedders=[{"kind": "traditional"}, {"kind": "scrambled"}],
+        seeds=[0, 1, 2],
+    )
+    exp_dir = experiments.run_comparison(cfg, tmp_path / "out")
+    assert len(reads) == 1  # when the run is planned; the three seeds' cells split that Dataset
+    assert json.loads((exp_dir / "status.json").read_text())["ok"] == 6
+
+
+@contextmanager
+def _lock_held(directory):
+    """Hold the run directory's lock on this test's own file descriptor."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / ".lock", "a") as f:
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
+def test_a_run_into_a_locked_directory_raises_at_once_and_writes_nothing(tmp_path):
+    cfg = _cfg()
+    exp_dir = tmp_path / f"sweep-dof-{cfg.config_hash()}"
+    with _lock_held(exp_dir):
+        with pytest.raises(experiments.RunInUseError, match=re.escape(str(exp_dir / ".lock"))):
+            experiments.run_dof_sweep(cfg, tmp_path)
+        assert [p.name for p in exp_dir.iterdir()] == [".lock"]
+    experiments.run_dof_sweep(cfg, tmp_path)  # the lock went with its holder
+    assert (exp_dir / ".lock").is_file() and json.loads((exp_dir / "status.json").read_text())["ok"] == 2
+
+
+def test_report_on_a_locked_directory_raises_and_leaves_it_as_it_was(tmp_path):
+    exp_dir = experiments.run_dof_sweep(_cfg(), tmp_path)
+    (exp_dir / "dof_sweep_summary.csv").unlink()
+    before = {p.name: p.read_bytes() for p in exp_dir.iterdir()}
+    with _lock_held(exp_dir):
+        with pytest.raises(experiments.RunInUseError, match=re.escape(str(exp_dir / ".lock"))):
+            experiments.regenerate_summaries(exp_dir)
+    assert {p.name: p.read_bytes() for p in exp_dir.iterdir()} == before
+
+
+KILL_CONFIG = {
+    "functions": ["sphere", "rastrigin"],
+    "dofs": [2, 3],
+    "seeds": [0, 1, 2],
+    "n_samples": 40,
+    "train": {"learning_rates": [5e-3], "weight_decays": [0.0], "max_epochs": 30, "patience": 30},
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="SIGKILL of a child process, as on Linux")
+def test_a_run_killed_after_k_records_resumes_to_the_uninterrupted_summaries(tmp_path):
+    """A 12-cell sweep-dof is killed with SIGKILL in another process once
+    ``records.jsonl`` holds k complete records (k = 0: once the run holds its
+    lock), possibly mid-append, then resumed here. The resumed summaries and
+    ``status.json`` match an uninterrupted run byte for byte, and the killed
+    run left no lock behind."""
+    cfg = ExperimentConfig.from_dict(KILL_CONFIG)
+    full = experiments.run_dof_sweep(cfg, tmp_path / "full")
+    names = ("dof_sweep_cells.csv", "dof_sweep_summary.csv", "status.json")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import json, sys\n"
+        "from embreg import experiments\n"
+        "experiments.run_dof_sweep(experiments.ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+    )
+    for k in (0, 1, 4, 8):
+        out = tmp_path / f"killed-{k}"
+        exp_dir = out / full.name
+        proc = subprocess.Popen([sys.executable, "-c", script, json.dumps(KILL_CONFIG), str(out)], env=env)
+        try:
+            deadline = time.monotonic() + 15
+            while proc.poll() is None and time.monotonic() < deadline:
+                records = exp_dir / "records.jsonl"
+                if k == 0 and (exp_dir / "config.json").exists():
+                    break
+                if records.exists() and records.read_bytes().count(b"\n") >= k > 0:
+                    break
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL and not (exp_dir / "status.json").exists()
+        experiments.run_dof_sweep(cfg, out)
+        for name in names:
+            assert (exp_dir / name).read_bytes() == (full / name).read_bytes(), (k, name)

@@ -1,35 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embreg import embedders, mlp, nlfd, tasks
-from embreg.embedders import EmbeddingMatrix
 from embreg.nlfd import EmptySampleError
-
-
-def _matrix(values, provenance="test"):
-    return EmbeddingMatrix(values=np.asarray(values, dtype=np.float64), provenance=provenance)
 
 
 def test_normalize_columns_standardized():
     rng = np.random.default_rng(0)
-    m = _matrix(rng.uniform(-3, 9, (50, 4)))
+    m = rng.uniform(-3, 9, (50, 4))
     out = nlfd.normalize_embeddings(m)
-    assert np.all(np.abs(out.values.mean(axis=0)) < 1e-9)
-    assert np.all(np.abs(out.values.var(axis=0) - 1.0) < 1e-9)
+    assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
+    assert np.all(np.abs(out.var(axis=0) - 1.0) < 1e-9)
 
 
 def test_normalize_constant_column_zeroed():
     values = np.column_stack([np.ones(10), np.arange(10.0)])
-    out = nlfd.normalize_embeddings(_matrix(values))
-    assert np.all(out.values[:, 0] == 0.0)
-    assert np.all(np.isfinite(out.values))
+    out = nlfd.normalize_embeddings(values)
+    assert np.all(out[:, 0] == 0.0)
+    assert np.all(np.isfinite(out))
 
 
 def test_normalize_needs_two_rows():
     with pytest.raises(ValueError):
-        nlfd.normalize_embeddings(_matrix(np.ones((1, 3))))
+        nlfd.normalize_embeddings(np.ones((1, 3)))
 
 
 def test_factors_two_point_arithmetic():
@@ -37,7 +36,7 @@ def test_factors_two_point_arithmetic():
     # scale is sqrt(4) * 4 / 2 = 4.
     values = np.zeros((2, 4))
     values[1, 0] = 2.0
-    sample = nlfd.lipschitz_factors(_matrix(values), [0.0, 4.0])
+    sample = nlfd.lipschitz_factors(values, [0.0, 4.0])
     assert sample.factors.tolist() == [4.0, 4.0]
     assert sample.mu == 4.0
     assert sample.excluded_pairs == 0
@@ -45,14 +44,14 @@ def test_factors_two_point_arithmetic():
 
 def test_duplicate_rows_are_excluded_not_dropped_silently():
     values = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-    sample = nlfd.lipschitz_factors(_matrix(values), [0.0, 1.0, 2.0])
+    sample = nlfd.lipschitz_factors(values, [0.0, 1.0, 2.0])
     assert sample.excluded_pairs >= 1
     assert sample.n + sample.excluded_pairs == 3
 
 
 def test_constant_labels_give_zero_factors():
     rng = np.random.default_rng(1)
-    m = _matrix(rng.standard_normal((20, 3)))
+    m = rng.standard_normal((20, 3))
     sample = nlfd.lipschitz_factors(m, np.full(20, 7.0))
     assert np.all(sample.factors == 0.0)
 
@@ -60,14 +59,14 @@ def test_constant_labels_give_zero_factors():
 def test_all_degenerate_raises():
     values = np.ones((4, 2))
     with pytest.raises(EmptySampleError):
-        nlfd.lipschitz_factors(_matrix(values), [1.0, 2.0, 3.0, 4.0])
+        nlfd.lipschitz_factors(values, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_nearest_neighbor_tie_breaks_low_index():
     # Row 0 is equidistant from rows 1 and 2; the factor must use row 1's label
     # (|0-5|/1 = 5), not row 2's (|0-100|/1 = 100).
     values = np.array([[0.0], [1.0], [-1.0], [9.0]])
-    sample = nlfd.lipschitz_factors(_matrix(values), [0.0, 5.0, 100.0, 0.0])
+    sample = nlfd.lipschitz_factors(values, [0.0, 5.0, 100.0, 0.0])
     assert sample.factors[0] == 5.0
 
 
@@ -81,7 +80,7 @@ def test_zscore_reference_values():
 
 def test_zscore_self_is_exactly_zero():
     rng = np.random.default_rng(2)
-    m = _matrix(rng.standard_normal((30, 5)))
+    m = rng.standard_normal((30, 5))
     sample = nlfd.nlfd_sample(m, rng.standard_normal(30))
     assert nlfd.zscore((sample.mu, sample.sigma), (sample.mu, sample.sigma)) == 0.0
 
@@ -97,9 +96,7 @@ def test_scale_invariance_of_factors():
     ds = tasks.sample_uniform(t, 200, seed=0)
     m = embedders.embed_traditional(t, ds.xs)
     base = nlfd.nlfd_sample(m, ds.y)
-    scaled = nlfd.nlfd_sample(
-        EmbeddingMatrix(values=m.values * 1000.0, provenance="scaled"), ds.y
-    )
+    scaled = nlfd.nlfd_sample(m * 1000.0, ds.y)
     assert np.max(np.abs(base.factors - scaled.factors)) <= 1e-9
 
 
@@ -110,9 +107,7 @@ def test_coordinate_duplication_consistency():
     ds = tasks.sample_uniform(t, 150, seed=1)
     m = embedders.embed_traditional(t, ds.xs)
     base = nlfd.nlfd_sample(m, ds.y)
-    dup = nlfd.nlfd_sample(
-        EmbeddingMatrix(values=np.tile(m.values, (1, 4)), provenance="dup"), ds.y
-    )
+    dup = nlfd.nlfd_sample(np.tile(m, (1, 4)), ds.y)
     assert dup.dim == 4 * base.dim
     assert base.n == dup.n
     assert np.max(np.abs(base.factors - dup.factors)) <= 1e-9
@@ -120,7 +115,7 @@ def test_coordinate_duplication_consistency():
 
 def test_histogram_counts_partition_sample():
     rng = np.random.default_rng(3)
-    m = _matrix(rng.standard_normal((40, 4)))
+    m = rng.standard_normal((40, 4))
     sample = nlfd.nlfd_sample(m, rng.standard_normal(40))
     hist = nlfd.histogram(sample, bins=7)
     assert len(hist) == 7
@@ -146,7 +141,7 @@ def test_pairwise_export_count_and_oracle():
     rng = np.random.default_rng(4)
     values = rng.standard_normal((10, 3))
     labels = rng.standard_normal(10)
-    records = nlfd.pairwise_distance_export(_matrix(values), labels)
+    records = nlfd.pairwise_distance_export(values, labels)
     assert len(records) == 45  # 10 choose 2
     for i, j, dist, li, lj in records:
         assert i < j
@@ -166,10 +161,14 @@ def test_smoothness_ordering_matches_regression_ordering():
     for kind in ("traditional", "scrambled"):
         emb = embedders.build_embedder({"kind": kind}, t)
         _, _, report = mlp.train_and_evaluate(
-            (emb.embed(tr.xs), tr.y), (emb.embed(va.xs), va.y), (emb.embed(te.xs), te.y), cfg, seed=0
+            (emb.embed(tr.xs).values, tr.y),
+            (emb.embed(va.xs).values, va.y),
+            (emb.embed(te.xs).values, te.y),
+            cfg,
+            seed=0,
         )
         taus[kind] = report.metrics["kendall_tau"]
-        samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs), ds.y)
+        samples[kind] = nlfd.nlfd_sample(emb.embed(ds.xs).values, ds.y)
 
     assert samples["traditional"].mu < samples["scrambled"].mu
     a, b = samples["traditional"], samples["scrambled"]
@@ -204,9 +203,9 @@ def test_factors_equal_the_per_pair_loop_exactly(dim):
     values[7] = values[3]  # an exact duplicate, excluded
     values[9] = values[4] + 1e-7  # a near duplicate, kept
     labels = rng.standard_normal(200)
-    m = nlfd.normalize_embeddings(_matrix(values))
+    m = nlfd.normalize_embeddings(values)
     sample = nlfd.lipschitz_factors(m, labels)
-    factors, excluded = _factors_loop(m.values, labels)
+    factors, excluded = _factors_loop(m, labels)
     assert np.array_equal(sample.factors, factors)
     assert sample.excluded_pairs == excluded >= 2
     assert sample.mu == float(factors.mean()) and sample.sigma == float(factors.std())
@@ -247,11 +246,20 @@ def test_factors_equal_a_brute_force_nearest_neighbor_oracle():
         factors, excluded = _factors_bruteforce(values, labels)
         if factors.size == 0:
             with pytest.raises(EmptySampleError):
-                nlfd.lipschitz_factors(_matrix(values), labels)
+                nlfd.lipschitz_factors(values, labels)
             empty += 1
             continue
-        sample = nlfd.lipschitz_factors(_matrix(values), labels)
+        sample = nlfd.lipschitz_factors(values, labels)
         assert np.array_equal(sample.factors, factors)
         assert sample.excluded_pairs == excluded
         checked += 1
     assert checked > 400 and empty > 0
+
+
+def test_nlfd_and_the_mlp_head_import_no_embedder():
+    """Both take plain matrices, so neither needs the embedders module."""
+    script = "import sys, embreg.nlfd, embreg.mlp; assert 'embreg.embedders' not in sys.modules"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

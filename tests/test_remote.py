@@ -28,9 +28,9 @@ pytestmark = pytest.mark.filterwarnings(
 def test_embed_passthrough_dim(mock_service, tmp_path):
     client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl")
     out = client.embed_texts(["alpha", "beta"])
-    assert out.dim == 8
-    assert out.rows == 2
-    assert np.allclose(out.values[0], deterministic_embedding("alpha", 8))
+    assert out.shape[1] == 8
+    assert out.shape[0] == 2
+    assert np.allclose(out[0], deterministic_embedding("alpha", 8))
 
 
 def test_batching_splits_requests(mock_service, tmp_path):
@@ -49,13 +49,13 @@ def test_order_preserved_with_parallel_batches(mock_service, tmp_path):
     texts = [f"t{i}" for i in range(20)]
     out = client.embed_texts(texts)
     for i, text in enumerate(texts):
-        assert np.allclose(out.values[i], deterministic_embedding(text, 8))
+        assert np.allclose(out[i], deterministic_embedding(text, 8))
 
 
 def test_duplicate_texts_share_rows(mock_service, tmp_path):
     client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl")
     out = client.embed_texts(["same", "same", "other"])
-    assert np.array_equal(out.values[0], out.values[1])
+    assert np.array_equal(out[0], out[1])
     assert mock_service.batch_sizes() == [2]  # deduplicated request
 
 
@@ -69,7 +69,7 @@ def test_full_cache_hit_makes_no_requests(mock_service, tmp_path):
     fresh = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
     second = fresh.embed_texts(["a", "b"])
     assert mock_service.request_count == count_after_first
-    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first, second)
 
 
 def test_cached_results_survive_dead_endpoint(mock_service, tmp_path):
@@ -86,7 +86,7 @@ def test_cached_results_survive_dead_endpoint(mock_service, tmp_path):
     )
     dead = RemoteEmbedder("http://127.0.0.1:9/embed", "m", cache_path=cache, backoff=0.01)
     out = dead.embed_texts(["a", "b"])
-    assert out.rows == 2
+    assert out.shape[0] == 2
     assert dead.request_count == 0
 
 
@@ -172,7 +172,7 @@ def test_remote_embedding_does_not_import_requests(mock_service):
     script = (
         "import sys\n"
         "from embreg.remote import RemoteEmbedder\n"
-        f"assert RemoteEmbedder({mock_service.endpoint!r}, 'm').embed_texts(['a']).rows == 1\n"
+        f"assert RemoteEmbedder({mock_service.endpoint!r}, 'm').embed_texts(['a']).shape[0] == 1\n"
         "assert 'requests' not in sys.modules, 'requests was imported'\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -189,7 +189,7 @@ def test_transient_failure_recovers(mock_service, tmp_path):
         max_attempts=3, backoff=0.01,
     )
     out = client.embed_texts(["x"])
-    assert out.rows == 1
+    assert out.shape[0] == 1
     assert mock_service.request_count == 3
 
 
@@ -260,7 +260,7 @@ def test_timeout_and_rate_limit_are_retried(mock_service, tmp_path, status):
         mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl",
         max_attempts=3, backoff=0.01,
     )
-    assert client.embed_texts(["x"]).rows == 1
+    assert client.embed_texts(["x"]).shape[0] == 1
     assert mock_service.request_count == 3
 
 
@@ -289,7 +289,7 @@ def test_retry_after_sets_the_retry_delay(mock_service, tmp_path, monkeypatch, s
     client = RemoteEmbedder(
         mock_service.endpoint, "m", cache_path=tmp_path / "c.jsonl", max_attempts=4, backoff=1.0
     )
-    assert client.embed_texts(["x"]).rows == 1
+    assert client.embed_texts(["x"]).shape[0] == 1
     assert slept == delays
     assert mock_service.request_count == 3
 
@@ -311,7 +311,7 @@ def test_shared_cache_picks_up_another_writers_appends(mock_service, tmp_path):
     assert EmbeddingCache.shared(cache) is shared
     assert np.array_equal(shared.get(key), np.arange(3.0))
     client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
-    assert np.array_equal(client.embed_texts(["a"]).values, [np.arange(3.0)])
+    assert np.array_equal(client.embed_texts(["a"]), [np.arange(3.0)])
     assert mock_service.request_count == 0
 
 
@@ -332,7 +332,7 @@ def test_shared_cache_reloads_after_the_file_is_deleted_or_replaced(mock_service
     other.replace(cache)
     replaced = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
     assert len(replaced.cache) == 1
-    assert np.array_equal(replaced.embed_texts(["z"]).values, [np.ones(8)])
+    assert np.array_equal(replaced.embed_texts(["z"]), [np.ones(8)])
     assert mock_service.request_count == 2
 
 
@@ -349,7 +349,7 @@ def test_torn_cache_tail_is_cut_not_glued_onto_the_next_vector(mock_service, tmp
     client = RemoteEmbedder(mock_service.endpoint, "m", cache_path=cache)
     again = client.embed_texts(texts)
     assert mock_service.batch_sizes() == [3, 1]  # only "c" is asked for again
-    assert np.array_equal(again.values, first.values)
+    assert np.array_equal(again, first)
     lines = cache.read_bytes().split(b"\n")
     assert lines[-1] == b"" and len(lines) == 4
     assert [json.loads(line)["key"] for line in lines[:-1]] == [
