@@ -75,10 +75,10 @@ def _run_experiment(kind: str) -> None:
     if not ctx.obj["config_path"]:
         raise click.UsageError("this subcommand requires --config")
     cfg = _parse("--config", experiments.ExperimentConfig.from_file, ctx.obj["config_path"])
-    _parse("--config", experiments.plan, kind, cfg)
+    cells = _parse("--config", experiments.plan, kind, cfg)  # the one plan: a mistake here leaves no run directory
     exp_dir = _parse(
         "--out", experiments.run_experiment, kind, cfg, ctx.obj["out"], ctx.obj["force"], ctx.obj["workers"],
-        click.echo, errors=experiments.RunInUseError,
+        click.echo, cells, errors=experiments.RunInUseError,
     )
     click.echo(f"results in {exp_dir}")
 

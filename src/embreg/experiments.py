@@ -539,15 +539,16 @@ def _locked(directory: Path):
         yield
 
 
-def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None) -> Path:
+def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, workers=1, echo=None, cells=None) -> Path:
     """Run the cells of one :data:`EXPERIMENTS` kind into
     ``out_root/<kind>-<config hash>``, skipping completed ones unless
     ``force``, then write its summaries and ``status.json``, all under the
     directory's lock.
 
-    Config mistakes raise ValueError from :func:`plan` before any cell runs.
+    ``cells`` is ``plan(kind, cfg)`` if the caller made it; otherwise config
+    mistakes raise ValueError from :func:`plan` here, before any cell runs.
     """
-    cells = plan(kind, cfg)
+    cells = plan(kind, cfg) if cells is None else cells
     directory = Path(out_root) / f"{kind}-{cfg.config_hash()}"
     directory.mkdir(parents=True, exist_ok=True)
     with _locked(directory):

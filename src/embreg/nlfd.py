@@ -25,8 +25,8 @@ import numpy as np
 
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
-#: Rows per block of the nearest-neighbor search: one (block, n) slab of
-#: squared distances is alive at a time beside the (n, n) Gram matrix.
+#: Rows per block of the nearest-neighbor search, which holds a few (block, n)
+#: slabs of inner products and squared distances at a time, never an (n, n) one.
 _NN_BLOCK = 64
 
 
@@ -77,14 +77,13 @@ def lipschitz_factors(values: np.ndarray, y) -> NlfdSample:
     if n < 2:
         raise ValueError("need at least 2 rows")
     sq_norms = np.sum(values * values, axis=1)
-    # Exact O(n^2) search: determinism matters more than speed at this scale.
-    # Blocks of rows take (sq_i + sq_j) - 2 * G_ij from one Gram product, so
-    # each element is bit-identical to the whole-matrix expression.
-    gram = values @ values.T
+    # Exact O(n^2 d) search: determinism matters more than speed at this scale.
+    # Each block of rows takes its own rows G_ij of the inner products and
+    # ranks them by (sq_i + sq_j) - 2 * G_ij; no (n, n) array is formed.
     nearest = np.empty(n, dtype=np.intp)
     for lo in range(0, n, _NN_BLOCK):
         hi = min(lo + _NN_BLOCK, n)
-        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]) - 2.0 * gram[lo:hi]
+        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]) - 2.0 * (values[lo:hi] @ values.T)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         nearest[lo:hi] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 

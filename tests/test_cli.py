@@ -493,3 +493,36 @@ def test_a_run_or_report_on_a_locked_run_directory_is_a_usage_error(runner, tmp_
             assert str(exp_dir / ".lock") in result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
     assert [p.name for p in exp_dir.iterdir()] == [".lock"]
+
+
+def test_a_run_reads_each_offline_table_once(runner, tmp_path, monkeypatch):
+    from embreg import experiments
+
+    task_file, data_file = _sampled(runner, tmp_path)
+    reads = []
+    original = experiments.ingest_offline
+    monkeypatch.setattr(experiments, "ingest_offline", lambda *a: reads.append(a) or original(*a))
+    entry = {"task": str(task_file), "data": str(data_file)}
+    cfg = _write_config(tmp_path / "cfg.json", functions=[], dofs=[], embedders=TWO_SPECS, offline=[entry],
+                        seeds=[0, 1, 2])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    assert result.exit_code == 0, result.output
+    assert len(reads) == 1  # the usage check and the run share one plan
+    (exp_dir,) = (tmp_path / "runs").iterdir()
+    assert json.loads((exp_dir / "status.json").read_text())["ok"] == 6
+
+
+def test_a_value_error_after_cells_start_is_not_a_config_error(runner, tmp_path, monkeypatch):
+    from embreg import experiments
+
+    def fail(exp_dir, store):
+        raise ValueError("summary failed")
+
+    monkeypatch.setattr(experiments, "summarize_dof_sweep", fail)
+    cfg = _write_config(tmp_path / "cfg.json")
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "sweep-dof"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, ValueError) and str(result.exception) == "summary failed"
+    assert "Invalid value" not in result.output
+    (exp_dir,) = (tmp_path / "runs").iterdir()
+    assert (exp_dir / "records.jsonl").read_text().count('"status": "ok"') == 1

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,16 +200,17 @@ def _factors_loop(values, labels):
 @pytest.mark.parametrize("dim", [1, 5, 10, 20, 64, 300])
 def test_factors_equal_the_per_pair_loop_exactly(dim):
     rng = np.random.default_rng(dim)
-    values = rng.standard_normal((200, dim))
-    values[7] = values[3]  # an exact duplicate, excluded
-    values[9] = values[4] + 1e-7  # a near duplicate, kept
-    labels = rng.standard_normal(200)
-    m = nlfd.normalize_embeddings(values)
-    sample = nlfd.lipschitz_factors(m, labels)
-    factors, excluded = _factors_loop(m, labels)
-    assert np.array_equal(sample.factors, factors)
-    assert sample.excluded_pairs == excluded >= 2
-    assert sample.mu == float(factors.mean()) and sample.sigma == float(factors.std())
+    for rows in (200, 1000):  # 1,000 rows span 16 blocks of the search, the last one partial
+        values = rng.standard_normal((rows, dim))
+        values[7] = values[3]  # an exact duplicate, excluded
+        values[9] = values[4] + 1e-7  # a near duplicate, kept
+        labels = rng.standard_normal(rows)
+        m = nlfd.normalize_embeddings(values)
+        sample = nlfd.lipschitz_factors(m, labels)
+        factors, excluded = _factors_loop(m, labels)
+        assert np.array_equal(sample.factors, factors)
+        assert sample.excluded_pairs == excluded >= 2
+        assert sample.mu == float(factors.mean()) and sample.sigma == float(factors.std())
 
 
 def _factors_bruteforce(values, labels):
@@ -254,6 +256,28 @@ def test_factors_equal_a_brute_force_nearest_neighbor_oracle():
         assert sample.excluded_pairs == excluded
         checked += 1
     assert checked > 400 and empty > 0
+
+
+def test_the_search_never_holds_an_n_by_n_matrix():
+    """An (n, n) float64 matrix of 3,000 rows is n**2 * 8 bytes, 72 MB. The
+    blocked search holds a few (64, n) slabs of inner products and squared
+    distances (1.5 MB each) and a few (n, d) arrays of row differences
+    (0.2 MB each), under 10 MB however the temporaries fall. A bound of an
+    eighth of the whole matrix passes that with room and fails any search
+    that forms one (n, n) array."""
+    n, dim = 3000, 8
+    rng = np.random.default_rng(3)
+    values = nlfd.normalize_embeddings(rng.standard_normal((n, dim)))
+    labels = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nlfd.lipschitz_factors(values, labels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    whole_matrix = n * n * 8
+    assert peak < whole_matrix / 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_nlfd_and_the_mlp_head_import_no_embedder():
