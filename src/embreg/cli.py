@@ -10,10 +10,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import experiments, nlfd
+from . import experiments, mlp, nlfd
 from .embedders import build_embedder
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
-from .mlp import TrainConfig, save_model, train_and_evaluate
+from .metrics import UndefinedMetricError
+from .mlp import TrainConfig, save_model
 from .tasks import (
     ingest_offline,
     load_task,
@@ -25,13 +26,14 @@ from .tasks import (
 )
 
 
-def _parse(option: str, fn, *args, errors=(OSError, TypeError, ValueError)):
+def _parse(option: str, fn, *args, errors=(OSError, TypeError, ValueError), about: str = ""):
     """``fn(*args)``, with one of ``errors`` (by default an OSError, TypeError
-    or ValueError) turned into a usage error on ``option``."""
+    or ValueError) turned into a usage error on ``option``; a non-empty
+    ``about`` prefixes the message with what was being computed."""
     try:
         return fn(*args)
     except errors as e:
-        raise click.BadParameter(str(e), param_hint=f"'{option}'") from e
+        raise click.BadParameter(f"{about}: {e}" if about else str(e), param_hint=f"'{option}'") from e
 
 
 def _load_embedder_spec(value: str) -> dict:
@@ -173,7 +175,12 @@ def train(ctx, task, ds, build, embedder, train_config):
     cfg = _parse("--train-config", lambda: TrainConfig.from_overrides(json.loads(train_config) if train_config else {}))
     parts = _parse("--data", split_dataset, ds, seed)
     _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
-    model, normalizer, rep = train_and_evaluate(*zip(matrices, (part.y for part in parts)), cfg, seed)
+    train_set, val_set, (x_test, y_test) = zip(matrices, (part.y for part in parts))
+    model, normalizer, rep = _parse(
+        "--train-config", mlp.train, train_set, val_set, cfg, seed, errors=mlp.TrainingFailedError
+    )
+    rep.metrics = _parse("--data", mlp.evaluate, model, normalizer, x_test, y_test, errors=UndefinedMetricError,
+                         about="scoring the test split")
     out = _out_dir()
     save_model(out / "model.npz", model, normalizer, provenance)
     (out / "report.json").write_text(json.dumps(asdict(rep), indent=2) + "\n", encoding="utf-8")
@@ -185,28 +192,23 @@ def train(ctx, task, ds, build, embedder, train_config):
 @click.option("--embedder-a", required=True)
 @click.option("--embedder-b", required=True)
 @click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--export-distances", is_flag=True,
-              help="Also write all pairwise embedding distances per embedder.")
-def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins, export_distances):
+def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins):
     """Roughness-factor histograms for two embedders plus their z-score."""
     _need_rows(ds, 2, "nlfd")
-    out = _out_dir()
-    samples = {}
-    for tag, embedder in (("a", build(embedder_a, "--embedder-a")), ("b", build(embedder_b, "--embedder-b"))):
-        matrix = embedder.embed(ds.xs).values
-        samples[tag] = nlfd.nlfd_sample(matrix, ds.y)
-        rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(samples[tag], bins)]
-        experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)
-        if export_distances:
-            records = nlfd.pairwise_distance_export(matrix, ds.y)
-            experiments._write_csv(
-                out / f"nlfd_distances_{tag}.csv",
-                ["i", "j", "distance", "y_i", "y_j"],
-                [list(r) for r in records],
-            )
-
+    # Both samples and z come first: a table NLFD cannot score is a usage error and writes nothing.
+    embedders = {"a": build(embedder_a, "--embedder-a"), "b": build(embedder_b, "--embedder-b")}
+    samples = {
+        tag: _parse("--data", nlfd.nlfd_sample, embedder.embed(ds.xs).values, ds.y, errors=nlfd.EmptySampleError,
+                    about=f"--embedder-{tag}")
+        for tag, embedder in embedders.items()
+    }
     a, b = samples["a"], samples["b"]
-    z = nlfd.zscore((a.mu, a.sigma), (b.mu, b.sigma))
+    z = _parse("--data", nlfd.zscore, (a.mu, a.sigma), (b.mu, b.sigma), errors=UndefinedMetricError,
+               about="--embedder-a and --embedder-b")
+    out = _out_dir()
+    for tag, sample in samples.items():
+        rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(sample, bins)]
+        experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)
     summaries = {t: {"mu": s.mu, "sigma": s.sigma, "n": s.n, "excluded": s.excluded_pairs} for t, s in samples.items()}
     payload = {"z": z, **summaries}
     (out / "nlfd_zscore.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import UndefinedMetricError
+
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
 #: Rows per block of the nearest-neighbor search, which holds a few (block, n)
@@ -117,7 +119,7 @@ def zscore(a: tuple[float, float], b: tuple[float, float]) -> float:
     (mu_a, sigma_a), (mu_b, sigma_b) = a, b
     denom = math.sqrt(sigma_a**2 + sigma_b**2)
     if denom == 0.0:
-        raise ValueError("z-score undefined: both samples have zero variance")
+        raise UndefinedMetricError("z-score undefined: both samples have zero variance")
     return (mu_a - mu_b) / denom
 
 
@@ -135,21 +137,3 @@ def histogram(sample: NlfdSample, bins: int) -> list[tuple[tuple[float, float], 
         ((float(edges[k]), float(edges[k + 1])), int(counts[k])) for k in range(bins)
     ]
 
-
-def pairwise_distance_export(values: np.ndarray, labels) -> list[tuple[int, int, float, float, float]]:
-    """All unordered pair distances with each endpoint's label attached.
-
-    Returns (i, j, distance, label_i, label_j) for i < j: n(n-1)/2 records,
-    ready for external scatter/projection tooling.
-    """
-    lab = np.asarray(labels, dtype=np.float64)
-    if lab.size != len(values):
-        raise ValueError(f"label count {lab.size} != row count {len(values)}")
-    records = []
-    for i in range(len(values) - 1):
-        diffs = values[i + 1 :] - values[i]
-        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-        for offset, dist in enumerate(dists):
-            j = i + 1 + offset
-            records.append((i, j, float(dist), float(lab[i]), float(lab[j])))
-    return records

@@ -162,20 +162,6 @@ def test_report_command(runner, tmp_path):
     assert {name: (exp_dir / name).read_bytes() for name in names} == written
 
 
-def test_nlfd_export_distances(runner, tmp_path):
-    task_file, data_file = _sampled(runner, tmp_path, n=12)
-    out = tmp_path / "nlfd"
-    result = runner.invoke(
-        main,
-        ["--out", str(out), "nlfd", "--task", str(task_file), "--data", str(data_file),
-         "--embedder-a", "traditional", "--embedder-b", "scrambled", "--export-distances"],
-    )
-    assert result.exit_code == 0, result.output
-    lines = (out / "nlfd_distances_a.csv").read_text().strip().splitlines()
-    assert lines[0] == "i,j,distance,y_i,y_j"
-    assert len(lines) - 1 == 12 * 11 // 2
-
-
 def test_config_hash_pins_output_directory(runner, tmp_path):
     cfg_a = _write_config(tmp_path / "a.json")
     cfg_b = _write_config(tmp_path / "b.json", seeds=[0, 1])
@@ -526,3 +512,43 @@ def test_a_value_error_after_cells_start_is_not_a_config_error(runner, tmp_path,
     assert "Invalid value" not in result.output
     (exp_dir,) = (tmp_path / "runs").iterdir()
     assert (exp_dir / "records.jsonl").read_text().count('"status": "ok"') == 1
+
+
+NLFD_PAIR = ["--embedder-a", "traditional", "--embedder-b", "vocab_pool"]
+DIVERGING = {"learning_rates": [1e300], "weight_decays": [0.0], "max_epochs": 3}
+
+
+@pytest.mark.parametrize(
+    "command, table, error",
+    [
+        (["nlfd", *NLFD_PAIR], "repeated",
+         "Invalid value for '--data': --embedder-a: all 80 nearest-neighbor pairs were degenerate"),
+        (["nlfd", *NLFD_PAIR], "constant",
+         "Invalid value for '--data': --embedder-a and --embedder-b: z-score undefined: both samples have zero variance"),
+        (["train", "--embedder", "traditional", "--train-config", json.dumps(FAST_TRAIN)], "constant",
+         "Invalid value for '--data': scoring the test split: kendall tau undefined: a series is entirely tied"),
+        (["train", "--embedder", "traditional", "--train-config", json.dumps(DIVERGING)], "sampled",
+         "Invalid value for '--train-config': every sweep cell diverged"),
+        (["nlfd", *NLFD_PAIR, "--export-distances"], "sampled", "No such option '--export-distances'"),
+    ],
+    ids=["nlfd-repeated-rows", "nlfd-constant-y", "train-constant-y", "train-diverging-sweep", "nlfd-export-distances"],
+)
+def test_tables_and_sweeps_a_step_cannot_score_are_usage_errors(runner, tmp_path, command, table, error):
+    """Every row twice leaves NLFD no non-degenerate nearest pair; a constant y gives both factor samples
+    zero variance and ties every test target; a learning rate of 1e300 diverges every sweep cell. Each is
+    a usage error that writes nothing. The pairwise-distance export is gone."""
+    task_file, data_file = _sampled(runner, tmp_path)
+    header, *rows = data_file.read_text().splitlines(keepends=True)
+    if table == "repeated":
+        rows = rows + rows
+    if table == "constant":
+        rows = [row.rsplit(",", 1)[0] + ",1.0\n" for row in rows]
+    data_file.write_text(header + "".join(rows))
+    name, *rest = command
+    result = runner.invoke(
+        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"Error: {error}" in result.output, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()

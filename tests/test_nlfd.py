@@ -138,18 +138,6 @@ def test_histogram_single_bin_and_constant_factors():
     assert sum(c for _, c in hist0) == 4
 
 
-def test_pairwise_export_count_and_oracle():
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((10, 3))
-    labels = rng.standard_normal(10)
-    records = nlfd.pairwise_distance_export(values, labels)
-    assert len(records) == 45  # 10 choose 2
-    for i, j, dist, li, lj in records:
-        assert i < j
-        assert dist == pytest.approx(float(np.linalg.norm(values[i] - values[j])))
-        assert (li, lj) == (labels[i], labels[j])
-
-
 def test_smoothness_ordering_matches_regression_ordering():
     """Scrambling a representation must look rougher and regress worse."""
     t = tasks.synthetic_task("sphere", 10)
