@@ -1,16 +1,19 @@
-"""Command-line harness for running benchmark experiments and one-off steps."""
+"""Command-line harness for running benchmark experiments and one-off steps.
+
+Each option belongs to the command that reads it, and ``embreg <command> --help`` lists them.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from functools import partial, wraps
+from functools import wraps
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import experiments, mlp, nlfd
+from . import experiments, metrics, mlp, nlfd
 from .embedders import build_embedder
 from .featurize import FULL_DICT, VALUES_ONLY, StringFormat
 from .metrics import UndefinedMetricError
@@ -55,38 +58,35 @@ def _resolve_task(task_file: str | None, function: str | None, dof: int | None):
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Experiment config JSON (used by experiment subcommands).")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for one-off steps.")
-@click.option("--out", "out_dir", type=click.Path(), default="runs", show_default=True,
-              help="Output directory.")
-@click.option("--force", is_flag=True, help="Re-run cells that already completed.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel cells for experiment subcommands.")
-@click.pass_context
-def main(ctx, config_path, seed, out_dir, force, workers):
+def main():
     """Benchmark harness for regression over different input representations."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(
-        config_path=config_path, seed=seed, out=Path(out_dir), force=force, workers=workers
-    )
 
 
-def _run_experiment(kind: str) -> None:
-    ctx = click.get_current_context()
-    if not ctx.obj["config_path"]:
-        raise click.UsageError("this subcommand requires --config")
-    cfg = _parse("--config", experiments.ExperimentConfig.from_file, ctx.obj["config_path"])
-    cells = _parse("--config", experiments.plan, kind, cfg)  # the one plan: a mistake here leaves no run directory
-    exp_dir = _parse(
-        "--out", experiments.run_experiment, kind, cfg, ctx.obj["out"], ctx.obj["force"], ctx.obj["workers"],
-        click.echo, cells, errors=experiments.RunInUseError,
-    )
-    click.echo(f"results in {exp_dir}")
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+                            help="Seed for one-off steps.")
+_out_option = click.option("--out", type=click.Path(path_type=Path), default="runs", show_default=True,
+                           help="Output directory.")
 
 
-for _kind, _experiment in experiments.EXPERIMENTS.items():
-    main.add_command(click.Command(_kind, callback=partial(_run_experiment, _kind), help=_experiment.help))
+def _experiment_command(kind: str) -> None:
+    @main.command(kind, help=experiments.EXPERIMENTS[kind].help)
+    @click.option("--config", "config_path", type=click.Path(exists=True), required=True,
+                  help="Experiment config JSON.")
+    @_out_option
+    @click.option("--force", is_flag=True, help="Re-run cells that already completed.")
+    @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel cells.")
+    def run(config_path, out, force, workers):
+        cfg = _parse("--config", experiments.ExperimentConfig.from_file, config_path)
+        cells = _parse("--config", experiments.plan, kind, cfg)  # the one plan: a mistake here leaves no run directory
+        exp_dir = _parse(
+            "--out", experiments.run_experiment, kind, cfg, out, force, workers, click.echo, cells,
+            errors=experiments.RunInUseError,
+        )
+        click.echo(f"results in {exp_dir}")
+
+
+for _kind in experiments.EXPERIMENTS:
+    _experiment_command(_kind)
 
 
 @main.command()
@@ -103,12 +103,13 @@ def report(exp_dir):
 @click.option("--function", default=None, help="Benchmark function id for a synthetic task.")
 @click.option("--dof", type=click.IntRange(min=1), default=None)
 @click.option("-n", "--num-samples", type=click.IntRange(min=1), default=500, show_default=True)
-@click.pass_context
-def sample(ctx, task_file, function, dof, num_samples):
+@_seed_option
+@_out_option
+def sample(task_file, function, dof, num_samples, seed, out):
     """Sample a synthetic task uniformly and write task.json + data.csv."""
     task = _resolve_task(task_file, function, dof)
-    ds = _parse("--task", sample_uniform, task, num_samples, ctx.obj["seed"])
-    out = _out_dir()
+    ds = _parse("--task", sample_uniform, task, num_samples, seed)
+    out.mkdir(parents=True, exist_ok=True)
     save_task(task, out / "task.json")
     write_dataset_csv(ds, task, out / "data.csv")
     click.echo(f"wrote {out / 'task.json'} and {out / 'data.csv'} ({len(ds)} rows)")
@@ -146,20 +147,15 @@ def _need_rows(ds, n: int, step: str) -> None:
         raise click.BadParameter(f"the table has {len(ds)} rows; {step} needs at least {n}", param_hint="'--data'")
 
 
-def _out_dir() -> Path:
-    out = click.get_current_context().obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @main.command()
 @_offline_inputs
 @click.option("--embedder", required=True, help="Backend kind, inline JSON, or @spec.json.")
-def embed(task, ds, build, embedder):
+@_out_option
+def embed(task, ds, build, embedder, out):
     """Embed an offline data file; writes embeddings.npz."""
     _need_rows(ds, 1, "embed")
     matrix = build(embedder, "--embedder").embed(ds.xs)
-    out = _out_dir()
+    out.mkdir(parents=True, exist_ok=True)
     np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
     click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.values.shape[1]}, {matrix.provenance})")
 
@@ -168,12 +164,15 @@ def embed(task, ds, build, embedder):
 @_offline_inputs
 @click.option("--embedder", required=True)
 @click.option("--train-config", default=None, help="Inline JSON overrides for training.")
-@click.pass_context
-def train(ctx, task, ds, build, embedder, train_config):
+@_seed_option
+@_out_option
+def train(task, ds, build, embedder, train_config, seed, out):
     """Train the MLP head on an embedded dataset; writes model.npz + report.json."""
-    seed = ctx.obj["seed"]
     cfg = _parse("--train-config", lambda: TrainConfig.from_overrides(json.loads(train_config) if train_config else {}))
     parts = _parse("--data", split_dataset, ds, seed)
+    # tau of the test targets against themselves is undefined only when they all tie: refuse them before training
+    y_test = parts[2].y
+    _parse("--data", metrics.kendall_tau, y_test, y_test, errors=UndefinedMetricError, about="scoring the test split")
     _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
     train_set, val_set, (x_test, y_test) = zip(matrices, (part.y for part in parts))
     model, normalizer, rep = _parse(
@@ -181,7 +180,7 @@ def train(ctx, task, ds, build, embedder, train_config):
     )
     rep.metrics = _parse("--data", mlp.evaluate, model, normalizer, x_test, y_test, errors=UndefinedMetricError,
                          about="scoring the test split")
-    out = _out_dir()
+    out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.npz", model, normalizer, provenance)
     (out / "report.json").write_text(json.dumps(asdict(rep), indent=2) + "\n", encoding="utf-8")
     click.echo(f"test kendall_tau={rep.metrics['kendall_tau']:.4f}; wrote {out / 'model.npz'}")
@@ -192,7 +191,8 @@ def train(ctx, task, ds, build, embedder, train_config):
 @click.option("--embedder-a", required=True)
 @click.option("--embedder-b", required=True)
 @click.option("--bins", type=click.IntRange(min=1), default=20, show_default=True)
-def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins):
+@_out_option
+def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins, out):
     """Roughness-factor histograms for two embedders plus their z-score."""
     _need_rows(ds, 2, "nlfd")
     # Both samples and z come first: a table NLFD cannot score is a usage error and writes nothing.
@@ -205,7 +205,7 @@ def nlfd_cmd(task, ds, build, embedder_a, embedder_b, bins):
     a, b = samples["a"], samples["b"]
     z = _parse("--data", nlfd.zscore, (a.mu, a.sigma), (b.mu, b.sigma), errors=UndefinedMetricError,
                about="--embedder-a and --embedder-b")
-    out = _out_dir()
+    out.mkdir(parents=True, exist_ok=True)
     for tag, sample in samples.items():
         rows = [[lo, hi, count] for (lo, hi), count in nlfd.histogram(sample, bins)]
         experiments._write_csv(out / f"nlfd_hist_{tag}.csv", ["bin_lo", "bin_hi", "count"], rows)

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import threading
 import time
 from collections import Counter
@@ -164,6 +165,8 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
             raise ValueError(f"offline entry {entry}: {e}") from e
         if len(ds) < MIN_SAMPLES:
             raise ValueError(f"offline entry {entry}: {len(ds)} rows, fewer than the {MIN_SAMPLES} a split needs")
+        if len(set(ds.y)) == 1:  # no cell could score it: refuse it before any cell trains
+            raise ValueError(f"offline entry {entry}: every y is {ds.y[0]!r}; no metric can score a constant target")
         instances.append(TaskInstance(entry.get("family", task.id), task, entry["data"], ds))
     return instances
 
@@ -415,7 +418,12 @@ def summarize_nlfd_correlation(exp_dir: Path, store: RunStore) -> None:
     if len(scatter) >= 3:
         zs = [row[2] for row in scatter]
         gaps = [row[3] for row in scatter]
-        row = [len(scatter), metrics.kendall_tau(zs, gaps), metrics.spearman(zs, gaps), metrics.pearson(zs, gaps)]
+        row = [len(scatter)]
+        for stat in (metrics.kendall_tau, metrics.spearman, metrics.pearson):
+            try:
+                row.append(stat(zs, gaps))
+            except metrics.UndefinedMetricError:  # a series entirely tied, as in an A/A control of one spec twice
+                row.append(math.nan)
         _write_csv(exp_dir / "nlfd_correlations.csv", ["n_tasks", "kendall_tau", "spearman", "pearson"], [row])
 
 
@@ -567,8 +575,8 @@ run_ablation = partial(run_experiment, "ablate")
 
 
 def _summarize(kind: str, store: RunStore, echo=None) -> None:
-    """Write the summary CSVs and ``status.json`` of a run directory."""
-    globals()[EXPERIMENTS[kind].summarizer](store.directory, store)
+    """Write ``status.json`` of a run directory, then its summary CSVs, so a
+    summarizer that fails still leaves the run's counts."""
     failed = store.failed_records()
     status = {
         "ok": len(store.ok_records()),
@@ -576,16 +584,20 @@ def _summarize(kind: str, store: RunStore, echo=None) -> None:
         "failed_cells": sorted(r["cell"] for r in failed),
     }
     _write_atomic(store.directory / "status.json", json.dumps(status, indent=2) + "\n")
+    globals()[EXPERIMENTS[kind].summarizer](store.directory, store)
     if failed and echo:
         echo(f"warning: {len(failed)} cells failed; see status.json")
 
 
 def experiment_kind(exp_dir) -> str:
-    """The :data:`EXPERIMENTS` kind that a ``<kind>-<config hash>`` run
-    directory's name gives; ValueError for any other name."""
-    kind = Path(exp_dir).name.rsplit("-", 1)[0]
-    if kind not in EXPERIMENTS:
+    """The :data:`EXPERIMENTS` kind of a run directory named
+    ``<kind>-<config hash>`` that holds ``records.jsonl``; ValueError for any
+    other directory."""
+    kind, _, digest = Path(exp_dir).name.rpartition("-")
+    if kind not in EXPERIMENTS or not re.fullmatch("[0-9a-f]{12}", digest):  # the form config_hash writes
         raise ValueError(f"cannot infer experiment type from directory name {Path(exp_dir).name!r}")
+    if not (Path(exp_dir) / "records.jsonl").is_file():
+        raise ValueError(f"{exp_dir} holds no records.jsonl")
     return kind
 
 

@@ -283,30 +283,32 @@ def _train_one_cell(
     n = x.shape[0]
 
     best_val, best_epoch, stale = np.inf, 0, 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        if n <= FULL_BATCH_MAX:
-            batches = [slice(None)]
-        else:
-            order = rng.permutation(n)
-            batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
-        try:
-            for idx in batches:
-                loss_and_grad(model, x[idx], y_norm[idx], grads)
-                adamw_step(model, grads, lr, wd, state)
-        except TrainingDivergedError:
-            return np.inf, epoch
+    # A diverging cell overflows before the checks below catch it; they report it, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            if n <= FULL_BATCH_MAX:
+                batches = [slice(None)]
+            else:
+                order = rng.permutation(n)
+                batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+            try:
+                for idx in batches:
+                    loss_and_grad(model, x[idx], y_norm[idx], grads)
+                    adamw_step(model, grads, lr, wd, state)
+            except TrainingDivergedError:
+                return np.inf, epoch
 
-        val_pred = forward(model, xv)
-        val_mse = float(np.mean((val_pred - yv_norm) ** 2))
-        if not np.isfinite(val_mse):
-            return np.inf, epoch
-        if val_mse < best_val:
-            best_val, best_epoch, stale = val_mse, epoch, 0
-            np.copyto(best, model.flat)
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+            val_pred = forward(model, xv)
+            val_mse = float(np.mean((val_pred - yv_norm) ** 2))
+            if not np.isfinite(val_mse):
+                return np.inf, epoch
+            if val_mse < best_val:
+                best_val, best_epoch, stale = val_mse, epoch, 0
+                np.copyto(best, model.flat)
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
     return best_val, best_epoch
 
 

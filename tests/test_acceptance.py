@@ -366,7 +366,7 @@ def test_c9_sweep_dof_byte_identical(tmp_path):
     for run_dir in ("run1", "run2"):
         result = runner.invoke(
             main,
-            ["--config", str(cfg_path), "--out", str(tmp_path / run_dir), "sweep-dof"],
+            ["sweep-dof", "--config", str(cfg_path), "--out", str(tmp_path / run_dir)],
         )
         assert result.exit_code == 0, result.output
         exp_dir = next((tmp_path / run_dir).iterdir())

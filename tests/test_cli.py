@@ -47,7 +47,7 @@ def test_sample_writes_task_and_data(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(
         main,
-        ["--seed", "3", "--out", str(out), "sample", "--function", "sphere", "--dof", "3",
+        ["sample", "--seed", "3", "--out", str(out), "--function", "sphere", "--dof", "3",
          "-n", "25"],
     )
     assert result.exit_code == 0, result.output
@@ -61,7 +61,7 @@ def _sampled(runner, tmp_path, n=40, dof=2):
     out = tmp_path / "data"
     result = runner.invoke(
         main,
-        ["--seed", "0", "--out", str(out), "sample", "--function", "sphere",
+        ["sample", "--seed", "0", "--out", str(out), "--function", "sphere",
          "--dof", str(dof), "-n", str(n)],
     )
     assert result.exit_code == 0, result.output
@@ -73,7 +73,7 @@ def test_embed_roundtrip(runner, tmp_path):
     out = tmp_path / "emb"
     result = runner.invoke(
         main,
-        ["--out", str(out), "embed", "--task", str(task_file), "--data", str(data_file),
+        ["embed", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder", "traditional"],
     )
     assert result.exit_code == 0, result.output
@@ -87,7 +87,7 @@ def test_embed_inline_json_spec(runner, tmp_path):
     out = tmp_path / "emb"
     result = runner.invoke(
         main,
-        ["--out", str(out), "embed", "--task", str(task_file), "--data", str(data_file),
+        ["embed", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder", '{"kind": "vocab_pool", "width": 16}', "--string-format", "values"],
     )
     assert result.exit_code == 0, result.output
@@ -100,7 +100,7 @@ def test_train_writes_model_and_report(runner, tmp_path):
     out = tmp_path / "model"
     result = runner.invoke(
         main,
-        ["--out", str(out), "train", "--task", str(task_file), "--data", str(data_file),
+        ["train", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder", "traditional", "--train-config", json.dumps(FAST_TRAIN)],
     )
     assert result.exit_code == 0, result.output
@@ -118,7 +118,7 @@ def test_nlfd_outputs(runner, tmp_path):
     out = tmp_path / "nlfd"
     result = runner.invoke(
         main,
-        ["--out", str(out), "nlfd", "--task", str(task_file), "--data", str(data_file),
+        ["nlfd", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder-a", "traditional", "--embedder-b", "scrambled", "--bins", "5"],
     )
     assert result.exit_code == 0, result.output
@@ -133,7 +133,7 @@ def test_nlfd_outputs(runner, tmp_path):
 def test_sweep_dof_end_to_end(runner, tmp_path):
     cfg_path = _write_config(tmp_path / "cfg.json")
     result = runner.invoke(
-        main, ["--config", str(cfg_path), "--out", str(tmp_path / "runs"), "sweep-dof"]
+        main, ["sweep-dof", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
     )
     assert result.exit_code == 0, result.output
     exp_dirs = list((tmp_path / "runs").iterdir())
@@ -142,15 +142,16 @@ def test_sweep_dof_end_to_end(runner, tmp_path):
 
 
 def test_experiment_requires_config(runner, tmp_path):
-    result = runner.invoke(main, ["--out", str(tmp_path), "sweep-dof"])
-    assert result.exit_code != 0
-    assert "--config" in result.output
+    result = runner.invoke(main, ["sweep-dof", "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 2
+    assert "Error: Missing option '--config'" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_report_command(runner, tmp_path):
     cfg_path = _write_config(tmp_path / "cfg.json")
     result = runner.invoke(
-        main, ["--config", str(cfg_path), "--out", str(tmp_path / "runs"), "sweep-dof"]
+        main, ["sweep-dof", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
     )
     assert result.exit_code == 0
     exp_dir = next((tmp_path / "runs").iterdir())
@@ -167,7 +168,7 @@ def test_config_hash_pins_output_directory(runner, tmp_path):
     cfg_b = _write_config(tmp_path / "b.json", seeds=[0, 1])
     for cfg in (cfg_a, cfg_b):
         result = runner.invoke(
-            main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "sweep-dof"]
+            main, ["sweep-dof", "--config", str(cfg), "--out", str(tmp_path / "runs")]
         )
         assert result.exit_code == 0, result.output
     assert len(list((tmp_path / "runs").iterdir())) == 2
@@ -184,7 +185,7 @@ def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     out = tmp_path / "model"
     result = runner.invoke(
         main,
-        ["--seed", "2", "--out", str(out), "train", "--task", str(task_file), "--data", str(data_file),
+        ["train", "--seed", "2", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder", json.dumps(spec), "--string-format", "values", "--float-sig-digits", "3",
          "--space-after-comma", "--train-config", json.dumps(FAST_TRAIN)],
     )
@@ -209,7 +210,7 @@ def test_nlfd_space_after_comma_changes_the_vocab_pool_inputs(runner, tmp_path):
         out = tmp_path / f"nlfd{len(flags)}"
         result = runner.invoke(
             main,
-            ["--out", str(out), "nlfd", "--task", str(task_file), "--data", str(data_file),
+            ["nlfd", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
              "--embedder-a", '{"kind": "vocab_pool", "width": 16}', "--embedder-b", "traditional", *flags],
         )
         assert result.exit_code == 0, result.output
@@ -235,7 +236,7 @@ def test_bad_one_off_options_are_usage_errors(runner, tmp_path, command, option)
     task_file, data_file = _sampled(runner, tmp_path)
     name, *rest = command
     result = runner.invoke(
-        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+        main, [name, "--out", str(tmp_path / "out"), "--task", str(task_file), "--data", str(data_file), *rest]
     )
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
@@ -245,16 +246,17 @@ def test_bad_one_off_options_are_usage_errors(runner, tmp_path, command, option)
 @pytest.mark.parametrize(
     "args, option",
     [
-        (["--seed", "-1", "sample", "--function", "sphere", "--dof", "2"], "--seed"),
-        (["--workers", "-3", "compare"], "--workers"),
-        (["--workers", "0", "compare"], "--workers"),
+        (["sample", "--seed", "-1", "--function", "sphere", "--dof", "2"], "--seed"),
+        (["compare", "--workers", "-3"], "--workers"),
+        (["compare", "--workers", "0"], "--workers"),
         (["sample", "--function", "sphere", "--dof", "2", "-n", "0"], "-n"),
         (["sample", "--function", "sphere", "--dof", "-1"], "--dof"),
         (["sample", "--function", "sphere", "--dof", "0"], "--dof"),
     ],
 )
 def test_out_of_range_seeds_and_counts_are_usage_errors(runner, tmp_path, args, option):
-    result = runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+    name, *rest = args
+    result = runner.invoke(main, [name, "--out", str(tmp_path / "out"), *rest])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
     assert not (tmp_path / "out").exists()
@@ -282,7 +284,7 @@ def test_train_config_seed_points_to_the_seed_option(runner, tmp_path):
 )
 def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
     cfg = _write_config(tmp_path / "cfg.json", embedders=[{"kind": "traditional"}, {"kind": "scrambled"}], **overrides)
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    result = runner.invoke(main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--config'" in result.output
     assert not (tmp_path / "runs").exists()
@@ -295,7 +297,7 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
 def test_remote_spec_mistakes_are_usage_errors(runner, tmp_path, keys):
     remote = {"kind": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m", **keys}
     cfg = _write_config(tmp_path / "cfg.json", embedders=[{"kind": "traditional"}, remote])
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    result = runner.invoke(main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 2, result.output
     assert "Error: Invalid value for '--config': embedder kind 'remote' cannot build" in result.output
     assert f"{next(iter(keys))} must be" in result.output and "Traceback" not in result.output
@@ -305,14 +307,14 @@ def test_remote_spec_mistakes_are_usage_errors(runner, tmp_path, keys):
 @pytest.mark.parametrize(
     "args, name",
     [
-        (["sample", "--function", "nope", "--dof", "2"], "--function"),  # an id not in the catalog
+        (["sample", "--out", "out", "--function", "nope", "--dof", "2"], "--function"),  # an id not in the catalog
         (["report", "plain"], "EXP_DIR"),  # a directory not named <kind>-<config hash>
     ],
 )
 def test_unknown_function_and_unnamed_report_dir_are_usage_errors(runner, tmp_path, args, name):
     (tmp_path / "plain").mkdir()
-    args = [str(tmp_path / a) if a == "plain" else a for a in args]
-    result = runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+    args = [str(tmp_path / a) if a in ("plain", "out") else a for a in args]
+    result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"Error: Invalid value for '{name}'" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -341,7 +343,7 @@ def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, ki
         entry.update({k: str(tmp_path / v) for k, v in overrides["offline"].items()})
         overrides = {**overrides, "offline": [entry]}
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), kind])
+    result = runner.invoke(main, [kind, "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 2, result.output
     assert re.search(f"Error: Invalid value for '--config': {message}", result.output), result.output
     assert "Traceback" not in result.output
@@ -351,7 +353,7 @@ def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, ki
 def _broken(runner, tmp_path, fault):
     """A sampled 40-row sphere task and table, with one fault: a misspelt
     param kind or an offline source in the task file, an out-of-range first
-    row, or 15 rows."""
+    row, 15 rows, or a constant y."""
     task_file, data_file = _sampled(runner, tmp_path)
     spec = json.loads(task_file.read_text())
     if fault == "kind":
@@ -364,6 +366,8 @@ def _broken(runner, tmp_path, fault):
         lines[1] = "9.0," + lines[1].split(",", 1)[1]
     if fault == "short":
         lines = lines[:16]
+    if fault == "constant":
+        lines[1:] = [line.rsplit(",", 1)[0] + ",1.0\n" for line in lines[1:]]
     data_file.write_text("".join(lines))
     return task_file, data_file
 
@@ -381,7 +385,7 @@ def test_task_files_and_tables_that_cannot_be_used_are_usage_errors(runner, tmp_
     task_file, data_file = _broken(runner, tmp_path, fault)
     name, *rest = command
     files = ["--task", str(task_file)] + (["--data", str(data_file)] if name != "sample" else [])
-    result = runner.invoke(main, ["--out", str(tmp_path / "out"), name, *files, *rest])
+    result = runner.invoke(main, [name, "--out", str(tmp_path / "out"), *files, *rest])
     assert result.exit_code == 2, result.output
     assert f"Error: Invalid value for '{option}': {message}" in result.output, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -394,13 +398,14 @@ def test_task_files_and_tables_that_cannot_be_used_are_usage_errors(runner, tmp_
         ("kind", "field 'kind' is 'continuous' or 'categorical', got {'name': 'x0', 'kind': 'continous'"),
         ("row", "row 1: param 'x0': value 9.0 outside"),
         ("short", "15 rows, fewer than the 20 a split needs"),
+        ("constant", "every y is 1.0; no metric can score a constant target"),
     ],
 )
 def test_offline_tables_are_read_when_the_run_is_planned(runner, tmp_path, fault, message):
     task_file, data_file = _broken(runner, tmp_path, fault)
     entry = {"task": str(task_file), "data": str(data_file)}
     cfg = _write_config(tmp_path / "cfg.json", embedders=TWO_SPECS, offline=[entry])
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    result = runner.invoke(main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 2, result.output
     assert f"Error: Invalid value for '--config': offline entry {entry}: " in result.output, result.output
     assert message in result.output and "Traceback" not in result.output
@@ -412,7 +417,7 @@ def test_train_report_keeps_its_key_order(runner, tmp_path):
     out = tmp_path / "model"
     result = runner.invoke(
         main,
-        ["--out", str(out), "train", "--task", str(task_file), "--data", str(data_file),
+        ["train", "--out", str(out), "--task", str(task_file), "--data", str(data_file),
          "--embedder", "traditional", "--train-config", json.dumps(FAST_TRAIN)],
     )
     assert result.exit_code == 0, result.output
@@ -451,7 +456,7 @@ def test_tables_too_small_for_a_one_off_step_are_usage_errors(runner, tmp_path, 
     data_file.write_text("".join(lines[: 1 + rows]))  # the header and ``rows`` rows
     name, *rest = command
     result = runner.invoke(
-        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+        main, [name, "--out", str(tmp_path / "out"), "--task", str(task_file), "--data", str(data_file), *rest]
     )
     assert result.exit_code == 2, result.output
     assert f"Error: Invalid value for '--data': the table has {rows} rows; {step} needs at least {least}" in result.output
@@ -467,10 +472,11 @@ def test_a_run_or_report_on_a_locked_run_directory_is_a_usage_error(runner, tmp_
     cfg_file = _write_config(tmp_path / "cfg.json")
     exp_dir = tmp_path / "runs" / f"sweep-dof-{ExperimentConfig.from_file(cfg_file).config_hash()}"
     exp_dir.mkdir(parents=True)
+    (exp_dir / "records.jsonl").touch()  # so the report gets as far as the lock
     with open(exp_dir / ".lock", "a") as f:  # this process holds the lock on its own descriptor
         fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         for args, name in (
-            (["--config", str(cfg_file), "--out", str(tmp_path / "runs"), "sweep-dof"], "--out"),
+            (["sweep-dof", "--config", str(cfg_file), "--out", str(tmp_path / "runs")], "--out"),
             (["report", str(exp_dir)], "EXP_DIR"),
         ):
             result = runner.invoke(main, args)
@@ -478,7 +484,7 @@ def test_a_run_or_report_on_a_locked_run_directory_is_a_usage_error(runner, tmp_
             assert f"Error: Invalid value for '{name}': run directory is in use" in result.output
             assert str(exp_dir / ".lock") in result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert [p.name for p in exp_dir.iterdir()] == [".lock"]
+    assert sorted(p.name for p in exp_dir.iterdir()) == [".lock", "records.jsonl"]
 
 
 def test_a_run_reads_each_offline_table_once(runner, tmp_path, monkeypatch):
@@ -491,7 +497,7 @@ def test_a_run_reads_each_offline_table_once(runner, tmp_path, monkeypatch):
     entry = {"task": str(task_file), "data": str(data_file)}
     cfg = _write_config(tmp_path / "cfg.json", functions=[], dofs=[], embedders=TWO_SPECS, offline=[entry],
                         seeds=[0, 1, 2])
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "compare"])
+    result = runner.invoke(main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 0, result.output
     assert len(reads) == 1  # the usage check and the run share one plan
     (exp_dir,) = (tmp_path / "runs").iterdir()
@@ -506,7 +512,7 @@ def test_a_value_error_after_cells_start_is_not_a_config_error(runner, tmp_path,
 
     monkeypatch.setattr(experiments, "summarize_dof_sweep", fail)
     cfg = _write_config(tmp_path / "cfg.json")
-    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "runs"), "sweep-dof"])
+    result = runner.invoke(main, ["sweep-dof", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, ValueError) and str(result.exception) == "summary failed"
     assert "Invalid value" not in result.output
@@ -546,9 +552,103 @@ def test_tables_and_sweeps_a_step_cannot_score_are_usage_errors(runner, tmp_path
     data_file.write_text(header + "".join(rows))
     name, *rest = command
     result = runner.invoke(
-        main, ["--out", str(tmp_path / "out"), name, "--task", str(task_file), "--data", str(data_file), *rest]
+        main, [name, "--out", str(tmp_path / "out"), "--task", str(task_file), "--data", str(data_file), *rest]
     )
     assert result.exit_code == 2, result.output
     assert f"Error: {error}" in result.output, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_a_tied_test_split_before_training(runner, tmp_path, monkeypatch):
+    from embreg import mlp
+
+    def fail(*args):
+        raise AssertionError("mlp.train ran")
+
+    monkeypatch.setattr(mlp, "train", fail)
+    task_file, data_file = _broken(runner, tmp_path, "constant")
+    result = runner.invoke(
+        main, ["train", "--out", str(tmp_path / "out"), "--task", str(task_file), "--data", str(data_file),
+               "--embedder", "traditional"]
+    )
+    assert result.exit_code == 2, result.output
+    assert ("Error: Invalid value for '--data': scoring the test split: kendall tau undefined: "
+            "a series is entirely tied") in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, records",
+    [
+        ("compare", True),  # a kind with no config hash
+        ("ablate-xyz", True),  # a kind and a suffix that is no config hash
+        ("sweep-dof-0123456789AB", True),  # a config hash is lower-case hex
+        ("sweep-dof-0123456789a", True),  # ... of 12 digits
+        ("sweep-dof-0123456789ab", False),  # a run directory's name, but no records.jsonl
+    ],
+)
+def test_report_refuses_a_directory_that_is_not_a_run(runner, tmp_path, name, records):
+    exp_dir = tmp_path / name
+    exp_dir.mkdir()
+    if records:
+        (exp_dir / "records.jsonl").touch()
+    result = runner.invoke(main, ["report", str(exp_dir)])
+    assert result.exit_code == 2, result.output
+    assert "Error: Invalid value for 'EXP_DIR'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert [p.name for p in exp_dir.iterdir()] == (["records.jsonl"] if records else [])
+
+
+OFFLINE_OPTIONS = {"--task", "--data", "--string-format", "--float-sig-digits", "--space-after-comma"}
+
+
+def test_each_option_is_declared_on_the_commands_that_read_it():
+    import click
+
+    from embreg import experiments
+
+    def options(command):
+        return {opt for param in command.params if isinstance(param, click.Option) for opt in param.opts}
+
+    assert main.params == []  # the group itself takes only --help
+    expected = {
+        **dict.fromkeys(experiments.EXPERIMENTS, {"--config", "--out", "--force", "--workers"}),
+        "report": set(),
+        "sample": {"--task", "--function", "--dof", "-n", "--num-samples", "--seed", "--out"},
+        "embed": OFFLINE_OPTIONS | {"--embedder", "--out"},
+        "nlfd": OFFLINE_OPTIONS | {"--embedder-a", "--embedder-b", "--bins", "--out"},
+        "train": OFFLINE_OPTIONS | {"--embedder", "--train-config", "--seed", "--out"},
+    }
+    assert {name: options(command) for name, command in main.commands.items()} == expected
+    for kind in experiments.EXPERIMENTS:
+        (config,) = [param for param in main.commands[kind].params if param.name == "config_path"]
+        assert config.required
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--seed", "3", "sweep-dof", "--config", "cfg.json"],
+        ["--config", "cfg.json", "sweep-dof"],
+        ["--config", "cfg.json", "--out", "runs", "compare"],
+        ["--workers", "2", "sweep-dof", "--config", "cfg.json"],
+        ["--force", "sweep-dof", "--config", "cfg.json"],
+        ["--seed", "0", "sample", "--function", "sphere", "--dof", "2"],
+        ["--out", "data", "sample", "--function", "sphere", "--dof", "2"],
+        ["--out", "runs", "report", "runs/sweep-dof-0123456789ab"],
+    ],
+)
+def test_an_option_before_its_command_is_a_usage_error_that_writes_nothing(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "cfg.json", embedders=TWO_SPECS)
+    exp_dir = tmp_path / "runs" / "sweep-dof-0123456789ab"
+    exp_dir.mkdir(parents=True)
+    (exp_dir / "records.jsonl").touch()
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Error: No such option '{args[0]}'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert sorted(tmp_path.rglob("*")) == before

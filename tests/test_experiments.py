@@ -272,6 +272,27 @@ def test_nlfd_correlation_requires_three_tasks(tmp_path):
         experiments.run_nlfd_correlation(cfg, tmp_path)
 
 
+def test_an_a_a_control_writes_undefined_correlations_as_nan(tmp_path):
+    """One spec in both slots ties every z and every kendall gap, so no correlation is defined."""
+    cfg = _cfg(functions=["sphere", "rastrigin", "discus"], embedders=[{"kind": "traditional"}] * 2, seeds=[0])
+    exp_dir = experiments.run_nlfd_correlation(cfg, tmp_path)
+    assert {row[2] for row in _read_csv(exp_dir / "nlfd_scatter.csv")[1:]} == {"0.0"}
+    assert (exp_dir / "nlfd_correlations.csv").read_text() == "n_tasks,kendall_tau,spearman,pearson\n3,nan,nan,nan\n"
+    assert json.loads((exp_dir / "status.json").read_text())["ok"] == 6
+    experiments.regenerate_summaries(exp_dir)
+
+
+def test_status_is_written_before_a_summarizer_that_fails(tmp_path, monkeypatch):
+    def fail(exp_dir, store):
+        raise ValueError("summary failed")
+
+    monkeypatch.setattr(experiments, "summarize_dof_sweep", fail)
+    with pytest.raises(ValueError, match="summary failed"):
+        experiments.run_dof_sweep(_cfg(), tmp_path)
+    (exp_dir,) = tmp_path.iterdir()
+    assert json.loads((exp_dir / "status.json").read_text()) == {"ok": 2, "failed": 0, "failed_cells": []}
+
+
 def test_data_scaling_summary(tmp_path):
     cfg = _cfg(
         embedders=[{"kind": "traditional"}, {"kind": "vocab_pool", "width": 16}],
@@ -812,6 +833,9 @@ def _paired_records(sizes):
     return records
 
 
+PINNED_HASH = "0123456789ab"  # a run directory is named <kind>-<12 hex digits of the config hash>
+
+
 @pytest.mark.parametrize(
     "kind, sizes, expected",
     [
@@ -841,7 +865,7 @@ def _paired_records(sizes):
     ],
 )
 def test_paired_summaries_are_pinned(tmp_path, kind, sizes, expected):
-    exp_dir = tmp_path / f"{kind}-pinned"
+    exp_dir = tmp_path / f"{kind}-{PINNED_HASH}"
     exp_dir.mkdir()
     # Written in reverse, so the rows' order comes from the summarizer's sort.
     lines = [json.dumps(r) + "\n" for r in reversed(_paired_records(sizes))]
@@ -862,7 +886,7 @@ def test_summaries_do_not_depend_on_record_order(tmp_path, kind):
     ]
     summaries = []
     for order in (records, records[::-1]):  # planned order, then one that parallel cells may complete in
-        exp_dir = tmp_path / str(len(summaries)) / f"{kind}-pinned"
+        exp_dir = tmp_path / str(len(summaries)) / f"{kind}-{PINNED_HASH}"
         exp_dir.mkdir(parents=True)
         (exp_dir / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in order))
         experiments.regenerate_summaries(exp_dir)

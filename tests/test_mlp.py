@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -225,6 +226,15 @@ def test_training_failed_carries_sweep():
         with pytest.raises(TrainingFailedError) as err:
             mlp.train((x, y), (x, y), cfg)
     assert len(err.value.sweep) == 1
+
+
+def test_a_diverging_sweep_raises_without_numpy_warnings():
+    x, y = _linear_problem(60, 4, seed=0)
+    cfg = TrainConfig(learning_rates=(1e300,), weight_decays=(0.0,), max_epochs=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingFailedError):
+            mlp.train((x, y), (x, y), cfg)
 
 
 def test_minibatch_path_runs():
