@@ -154,10 +154,11 @@ def _need_rows(ds, n: int, step: str) -> None:
 def embed(task, ds, build, embedder, out):
     """Embed an offline data file; writes embeddings.npz."""
     _need_rows(ds, 1, "embed")
-    matrix = build(embedder, "--embedder").embed(ds.xs)
+    built = build(embedder, "--embedder")
+    matrix = built.embed(ds.xs)
     out.mkdir(parents=True, exist_ok=True)
-    np.savez(out / "embeddings.npz", values=matrix.values, provenance=matrix.provenance)
-    click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.values.shape[1]}, {matrix.provenance})")
+    np.savez(out / "embeddings.npz", values=matrix.values, provenance=built.provenance)
+    click.echo(f"wrote {out / 'embeddings.npz'} ({matrix.rows}x{matrix.values.shape[1]}, {built.provenance})")
 
 
 @main.command()
@@ -173,7 +174,8 @@ def train(task, ds, build, embedder, train_config, seed, out):
     # tau of the test targets against themselves is undefined only when they all tie: refuse them before training
     y_test = parts[2].y
     _parse("--data", metrics.kendall_tau, y_test, y_test, errors=UndefinedMetricError, about="scoring the test split")
-    _, provenance, matrices = experiments._embed_parts(build(embedder, "--embedder"), parts)
+    built = build(embedder, "--embedder")
+    matrices = experiments._embed_parts(built, parts)
     train_set, val_set, (x_test, y_test) = zip(matrices, (part.y for part in parts))
     model, normalizer, rep = _parse(
         "--train-config", mlp.train, train_set, val_set, cfg, seed, errors=mlp.TrainingFailedError
@@ -181,7 +183,7 @@ def train(task, ds, build, embedder, train_config, seed, out):
     rep.metrics = _parse("--data", mlp.evaluate, model, normalizer, x_test, y_test, errors=UndefinedMetricError,
                          about="scoring the test split")
     out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "model.npz", model, normalizer, provenance)
+    save_model(out / "model.npz", model, normalizer, built.provenance)
     (out / "report.json").write_text(json.dumps(asdict(rep), indent=2) + "\n", encoding="utf-8")
     click.echo(f"test kendall_tau={rep.metrics['kendall_tau']:.4f}; wrote {out / 'model.npz'}")
 

@@ -32,18 +32,15 @@ class EmptyTextError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """n x d matrix of finite floats with the producing backend pinned."""
+    """n x d matrix of finite floats."""
 
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("embedding matrix contains non-finite entries")
-        if not self.provenance:
-            raise ValueError("provenance must be non-empty")
 
     @property
     def rows(self) -> int:
@@ -270,7 +267,7 @@ def embed_scrambled_permutation(task: RegressionTask, xs: list[dict], seed: int)
 class Embedder:
     """A backend bound to a task, with the provenance fixed when it was
     built: ``embed`` wraps each matrix of the backend in the one place
-    that checks it and stamps that provenance on it."""
+    that checks it."""
 
     def __init__(self, kind: str, fn, provenance: str):
         self.kind = kind
@@ -278,7 +275,7 @@ class Embedder:
         self.provenance = provenance
 
     def embed(self, xs: list[dict]) -> EmbeddingMatrix:
-        return EmbeddingMatrix(values=self._fn(xs), provenance=self.provenance)
+        return EmbeddingMatrix(values=self._fn(xs))
 
 
 def _traditional(task, texts):

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import combinations, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +106,8 @@ class RunStore:
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
-        self.path = self.directory / "records.jsonl"
-        self.log = JsonlLog(self.path, key=itemgetter("cell"), dumps=partial(json.dumps, sort_keys=True))
+        self.log = JsonlLog(self.directory / "records.jsonl", key=itemgetter("cell"),
+                            dumps=partial(json.dumps, sort_keys=True))
 
     @property
     def records(self) -> dict[str, dict]:
@@ -134,14 +134,13 @@ class RunStore:
 class TaskInstance:
     family: str
     task: RegressionTask
-    data_path: str | None = None  # offline source, sampled when None
-    dataset: Dataset | None = field(default=None, compare=False, repr=False)  # the table read from data_path
+    dataset: Dataset | None = field(default=None, compare=False, repr=False)  # an offline table; sampled when None
 
     @property
     def inputs(self):
         """What the instance's inputs depend on: its parameter space when
         sampled, the instance itself when read from an offline table."""
-        return self.task.params if self.data_path is None else self
+        return self.task.params if self.dataset is None else self
 
 
 def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list[TaskInstance]:
@@ -167,7 +166,7 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
             raise ValueError(f"offline entry {entry}: {len(ds)} rows, fewer than the {MIN_SAMPLES} a split needs")
         if len(set(ds.y)) == 1:  # no cell could score it: refuse it before any cell trains
             raise ValueError(f"offline entry {entry}: every y is {ds.y[0]!r}; no metric can score a constant target")
-        instances.append(TaskInstance(entry.get("family", task.id), task, entry["data"], ds))
+        instances.append(TaskInstance(entry.get("family", task.id), task, ds))
     return instances
 
 
@@ -177,16 +176,16 @@ def _cell_key(**parts) -> str:
 
 def _sample_and_split(instance: TaskInstance, n_samples: int, seed: int) -> tuple[int, tuple]:
     """The instance's dataset size and its (train, validation, test) split."""
-    ds = sample_uniform(instance.task, n_samples, seed) if instance.data_path is None else instance.dataset
+    ds = sample_uniform(instance.task, n_samples, seed) if instance.dataset is None else instance.dataset
     return len(ds), split_dataset(ds, seed)
 
 
-def _embed_parts(embedder: Embedder, parts) -> tuple[str, str, tuple]:
-    """The embedder's kind, provenance and read-only matrices of the split."""
+def _embed_parts(embedder: Embedder, parts) -> tuple:
+    """The read-only matrices of the split."""
     matrices = tuple(embedder.embed(part.xs).values for part in parts)
     for m in matrices:
         m.flags.writeable = False
-    return embedder.kind, embedder.provenance, matrices
+    return matrices
 
 
 def run_cell(
@@ -203,10 +202,11 @@ def run_cell(
     """Sample (or ingest), split 8-1-1, embed, train, evaluate, and compute the
     roughness-factor summary over the pooled data.
 
-    ``inputs`` holds the splits (by instance) and embedded matrices (by slot
-    and string format) of the cell's input set, and ``embedders`` the run's
-    embedders (by slot, string format and input family); a cell run alone
-    computes its own. A step that raises stores nothing.
+    ``inputs`` holds the splits (by instance) and each embedder with its
+    matrices (by slot and string format) of the cell's input set, and
+    ``embedders`` the run's embedders (by slot, string format and input
+    family); a cell run alone computes its own. A step that raises stores
+    nothing.
     """
     started = time.time()
     task = instance.task
@@ -221,8 +221,8 @@ def run_cell(
             if key not in embedders:
                 embedders[key] = build_embedder(embedder_spec, task, fmt)
             embedder = embedders[key]
-        inputs[slot, fmt] = _embed_parts(embedder, parts)
-    kind, provenance, matrices = inputs[slot, fmt]
+        inputs[slot, fmt] = embedder, _embed_parts(embedder, parts)
+    embedder, matrices = inputs[slot, fmt]
     (m_train, m_val, m_test), (y_train, y_val, y_test) = matrices, [part.y for part in parts]
 
     _, _, report = train_and_evaluate((m_train, y_train), (m_val, y_val), (m_test, y_test), train, seed)
@@ -235,8 +235,8 @@ def run_cell(
         "task_id": task.id,
         "dof": task.dof,
         "slot": slot,
-        "embedder_kind": kind,
-        "embedder": provenance,
+        "embedder_kind": embedder.kind,
+        "embedder": embedder.provenance,
         "seed": seed,
         "n": n,
         "fmt": fmt.variant,
@@ -299,16 +299,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def render(v):
-        if isinstance(v, float):
-            return repr(v)
-        return v
-
+    """Write a header and rows; csv writes each float as its shortest round-trip text."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([render(v) for v in row])
+        writer.writerow(row)
     _write_atomic(path, out.getvalue())
 
 
@@ -458,7 +454,8 @@ def summarize_ablation(exp_dir: Path, store: RunStore) -> None:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment kind: how the engine checks the config, which cells it
-    runs, and which summarizer turns the records into CSVs."""
+    runs, and which summarizer turns the records into CSVs. :func:`plan`
+    refuses a config field that the row does not read, set off its default."""
 
     help: str
     summarizer: str  # a module function's name, looked up at call time so tracers can wrap it
@@ -506,11 +503,15 @@ EXPERIMENTS = {
 def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
-    Config mistakes (embedder count, offline or too few tasks, a missing,
-    malformed or short offline file, no cells or one cell key twice) raise
-    ValueError.
+    Config mistakes (a field the kind does not read set off its default,
+    embedder count, offline or too few tasks, a missing, malformed or short
+    offline file, no cells or one cell key twice) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
+    unread = ["n_samples" if exp.sizes else "sizes", *(["string_format.variant"] if exp.variants else [])]
+    for name in unread:
+        if attrgetter(name)(cfg) != attrgetter(name)(ExperimentConfig()):
+            raise ValueError(f"{kind} does not read the config field {name!r}: leave it out or at its default")
     low, high = exp.embedders
     if not low <= len(cfg.embedders) <= high:
         raise ValueError(f"{kind} needs {'exactly' if low == high else 'at least'} {low} embedder specs")

@@ -23,6 +23,8 @@ def _check_lengths(y, yhat) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"series must be 1-D of equal length, got {a.shape} and {b.shape}")
     if a.size < 2:
         raise ValueError("need at least 2 observations")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("series must be finite, got a NaN or an infinity")
     return a, b
 
 
@@ -118,15 +120,11 @@ def kendall_tau_bruteforce(y, yhat) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
     sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j < v.size and sv[j] == sv[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # average of 1-based ranks i+1..j
-        i = j
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))  # where each run of equal values begins
+    ends = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)  # average of 1-based ranks start+1..end
     return ranks
 
 

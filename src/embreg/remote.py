@@ -72,8 +72,7 @@ class EmbeddingCache:
     _shared_lock = threading.Lock()
 
     def __init__(self, path):
-        self.path = Path(path)
-        self.log = JsonlLog(self.path, key=itemgetter("key"), value=_vector, dumps=_dumps)
+        self.log = JsonlLog(path, key=itemgetter("key"), value=_vector, dumps=_dumps)
 
     @classmethod
     def shared(cls, path) -> "EmbeddingCache":

@@ -375,6 +375,5 @@ def write_dataset_csv(ds: Dataset, task: RegressionTask, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(list(task.param_names) + ["y"])
-        for x, y in zip(ds.xs, ds.y):
-            row = [repr(x[p.name]) if p.kind == CONTINUOUS else x[p.name] for p in task.params]
-            writer.writerow(row + [repr(y)])
+        for x, y in zip(ds.xs, ds.y):  # csv writes each float as its shortest round-trip text
+            writer.writerow([x[name] for name in task.param_names] + [y])

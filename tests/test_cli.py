@@ -192,7 +192,7 @@ def test_train_matches_the_engine_cell_on_the_same_table(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text())
     task = load_task(task_file)
-    instance = experiments.TaskInstance(task.id, task, str(data_file), ingest_offline(data_file, task))
+    instance = experiments.TaskInstance(task.id, task, ingest_offline(data_file, task))
     fmt = StringFormat("values_only", 3, True)
     train = TrainConfig.from_overrides(FAST_TRAIN)
     rec = experiments.run_cell(instance, spec, seed=2, n_samples=40, fmt=fmt, train=train)
@@ -287,6 +287,26 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
     result = runner.invoke(main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "runs")])
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--config'" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, field",
+    [
+        ("sweep-dof", {"sizes": [20, 30]}, "sizes"),
+        ("compare", {"sizes": [20, 30]}, "sizes"),
+        ("nlfd-corr", {"sizes": [20, 30]}, "sizes"),
+        ("ablate", {"sizes": [20, 30]}, "sizes"),
+        ("scale-data", {"sizes": [20, 40]}, "n_samples"),  # _write_config sets n_samples to 40
+        ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),
+    ],
+)
+def test_a_field_the_kind_does_not_read_is_a_usage_error(runner, tmp_path, kind, overrides, field):
+    cfg = _write_config(tmp_path / "cfg.json", functions=["sphere", "rastrigin", "discus"],
+                        embedders=[{"kind": "traditional"}, {"kind": "scrambled"}], **overrides)
+    result = runner.invoke(main, [kind, "--config", str(cfg), "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert f"does not read the config field '{field}'" in result.output and "Traceback" not in result.output
     assert not (tmp_path / "runs").exists()
 
 

@@ -2,6 +2,7 @@ import csv
 import fcntl
 import gc
 import json
+import math
 import os
 import re
 import signal
@@ -27,14 +28,16 @@ FAST_TRAIN = {
 
 
 def _cfg(**overrides):
+    """A small config; one given ``sizes`` (read by scale-data alone) leaves ``n_samples`` at its default."""
     base = dict(
         functions=["sphere"],
         dofs=[2],
         embedders=[{"kind": "traditional"}],
-        n_samples=40,
         seeds=[0, 1],
         train=FAST_TRAIN,
     )
+    if "sizes" not in overrides:
+        base["n_samples"] = 40
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
 
@@ -987,6 +990,49 @@ def test_plans_with_no_cells_or_a_repeated_cell_key_fail_before_any_cell(tmp_pat
     with pytest.raises(ValueError, match=match):
         experiments.run_experiment(kind, _cfg(**overrides), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, field",
+    [
+        ("sweep-dof", {"sizes": [20, 30]}, "sizes"),
+        ("compare", {"sizes": [20, 30]}, "sizes"),
+        ("nlfd-corr", {"sizes": [20, 30]}, "sizes"),
+        ("ablate", {"sizes": [20, 30]}, "sizes"),
+        ("scale-data", {"sizes": [20, 40], "n_samples": 40}, "n_samples"),
+        ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),
+    ],
+)
+def test_a_field_the_kind_does_not_read_is_refused_before_any_cell(tmp_path, monkeypatch, kind, overrides, field):
+    # sizes on sweep-dof would run the same cells as a config without it, into a second run directory
+    embedders = [{"kind": "traditional"}, {"kind": "scrambled"}]
+    cfg = ExperimentConfig.from_dict({"functions": ["sphere", "rastrigin", "discus"], "dofs": [2], "seeds": [0],
+                                      "embedders": embedders, **overrides})
+    monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match=f"{kind} does not read the config field '{re.escape(field)}'"):
+        experiments.run_experiment(kind, cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [
+        ("sweep-dof", {"sizes": [50, 100, 200, 400]}),  # the defaults, spelt out
+        ("scale-data", {"n_samples": 500, "sizes": [20, 40]}),
+        ("ablate", {"string_format": {"variant": "full_dict", "float_precision": 3}}),  # ablate reads the rest
+        ("compare", {"n_samples": 40, "string_format": {"variant": "values_only"}}),
+    ],
+)
+def test_fields_the_kind_reads_or_left_at_their_default_plan(kind, overrides):
+    cfg = ExperimentConfig.from_dict({"functions": ["sphere"], "dofs": [2], "seeds": [0],
+                                      "embedders": [{"kind": "traditional"}, {"kind": "scrambled"}], **overrides})
+    assert experiments.plan(kind, cfg)
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "out.csv"
+    experiments._write_csv(path, ["a", "b"], [[0.1 + 0.2, 1e-300, -0.0, math.nan, math.inf, 7, True, "x,y"]])
+    assert path.read_bytes() == b'a,b\n0.30000000000000004,1e-300,-0.0,nan,inf,7,True,"x,y"\n'
 
 
 def test_an_offline_table_is_read_once_per_run(tmp_path, monkeypatch):

@@ -121,6 +121,40 @@ def test_length_checks():
         metrics.kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("metric", [metrics.kendall_tau, metrics.spearman, metrics.pearson, metrics.mse, metrics.mae])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_series_that_is_not_finite_is_an_error(metric, bad):
+    # a non-finite prediction is an error, not a score (a NaN would also hang a tie loop)
+    with pytest.raises(ValueError, match="finite"):
+        metric([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        metric([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+
+def _average_ranks_oracle(v: np.ndarray) -> np.ndarray:
+    """The tie loop that the vectorized ranks replaced: walk each run of equal sorted values."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    sv = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j < v.size and sv[j] == sv[i]:
+            j += 1
+        ranks[order[i:j]] = (i + j + 1) / 2.0  # average of 1-based ranks i+1..j
+        i = j
+    return ranks
+
+
+def test_average_ranks_equal_the_tie_loop_oracle():
+    rng = np.random.default_rng(11)
+    tied = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])  # -0.0 and 0.0 are one value
+    for n in range(1, 81):
+        for _ in range(10):
+            v = np.where(rng.random(n) < 0.7, rng.choice(tied, n), rng.uniform(-5.0, 5.0, n))
+            assert metrics._average_ranks(v).tobytes() == _average_ranks_oracle(v).tobytes(), v
+
+
 def test_outperformance_rate():
     assert metrics.outperformance_rate([1, 2, 3, 4], [0, 3, 1, 2]) == 75.0
     assert metrics.outperformance_rate([1.0, 1.0], [1.0, 1.0]) == 0.0

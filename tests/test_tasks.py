@@ -208,6 +208,18 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert back.xs == ds.xs and back.y == ds.y
 
 
+def test_dataset_csv_roundtrip_of_numpy_floats(tmp_path):
+    # repr of a numpy 2 scalar is "np.float64(0.5)", which no reader parses back
+    t = tasks.synthetic_task("sphere", 2)
+    grid = np.linspace(-5.0, 5.0, 20)
+    ds = tasks.Dataset(xs=tuple({"x0": v, "x1": -v} for v in grid), y=tuple(grid**2 * 2))
+    assert isinstance(ds.xs[0]["x0"], np.float64) and isinstance(ds.y[0], np.float64)
+    path = tmp_path / "data.csv"
+    tasks.write_dataset_csv(ds, t, path)
+    back = tasks.ingest_offline(path, t)
+    assert back.xs == ds.xs and back.y == ds.y
+
+
 def test_task_file_roundtrip(tmp_path):
     task = _categorical_task()
     path = tmp_path / "task.json"
