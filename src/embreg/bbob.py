@@ -47,8 +47,6 @@ def rastrigin(x: np.ndarray) -> float:
 
 
 def rosenbrock(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
     head, tail = x[:-1], x[1:]
     return float(np.sum(100.0 * (head * head - tail) ** 2 + (head - 1.0) ** 2))
 
@@ -104,6 +102,8 @@ class BbobFunction:
         if self.dof < 1:
             raise ValueError("dof must be a positive integer")
         get(self.id)  # fail fast on unknown ids
+        if self.id == "rosenbrock" and self.dof < 2:
+            raise ValueError(f"rosenbrock is 0 everywhere at dof {self.dof}; it needs dof >= 2")
 
     def evaluate(self, x) -> float:
         v = np.asarray(x, dtype=np.float64)

@@ -154,18 +154,13 @@ def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list
             raise ValueError("this experiment supports synthetic tasks only")
         return instances
     for entry in cfg.offline:
-        for key, what in (("task", "task file"), ("data", "data table")):
-            if not Path(entry[key]).is_file():
-                raise ValueError(f"offline {what} {entry[key]!r} does not exist")
-        try:  # read once, here, so a bad table is a config error, not N failed cells
+        try:  # read once and split for every seed, here, so a table no cell can use is a config error
             task = load_task(entry["task"])
             ds = ingest_offline(entry["data"], task)
-        except ValueError as e:
+            for seed in cfg.seeds:
+                split_dataset(ds, seed)
+        except (OSError, ValueError) as e:
             raise ValueError(f"offline entry {entry}: {e}") from e
-        if len(ds) < MIN_SAMPLES:
-            raise ValueError(f"offline entry {entry}: {len(ds)} rows, fewer than the {MIN_SAMPLES} a split needs")
-        if len(set(ds.y)) == 1:  # no cell could score it: refuse it before any cell trains
-            raise ValueError(f"offline entry {entry}: every y is {ds.y[0]!r}; no metric can score a constant target")
         instances.append(TaskInstance(entry.get("family", task.id), task, ds))
     return instances
 
@@ -504,13 +499,14 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
     Config mistakes (a field the kind does not read set off its default,
-    embedder count, offline or too few tasks, a missing, malformed or short
-    offline file, no cells or one cell key twice) raise ValueError.
+    embedder count, offline or too few tasks, an offline file that cannot be
+    read or split, no cells or one cell key twice) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
-    unread = ["n_samples" if exp.sizes else "sizes", *(["string_format.variant"] if exp.variants else [])]
-    for name in unread:
-        if attrgetter(name)(cfg) != attrgetter(name)(ExperimentConfig()):
+    # a config that samples no task reads no n_samples; a synthetic-only kind refuses its offline entries itself
+    samples = not exp.sizes and (exp.synthetic_only or (cfg.functions and cfg.dofs))
+    for name, read in (("sizes", exp.sizes), ("n_samples", samples), ("string_format.variant", not exp.variants)):
+        if not read and attrgetter(name)(cfg) != attrgetter(name)(ExperimentConfig()):
             raise ValueError(f"{kind} does not read the config field {name!r}: leave it out or at its default")
     low, high = exp.embedders
     if not low <= len(cfg.embedders) <= high:

@@ -38,7 +38,7 @@ class ValidationError(ValueError):
 
 
 class SplitError(ValueError):
-    """A dataset has too few rows to split."""
+    """A dataset too short to split, or whose test split ties every target."""
 
 
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test
@@ -229,7 +229,8 @@ def split_dataset(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
 
     Partition sizes are floor(n * ratio) of :data:`SPLIT_RATIOS` for
     validation and test, with the remainder going to train. The three outputs
-    are disjoint and together contain every input row exactly once.
+    are disjoint and together contain every input row exactly once. A test
+    split whose targets all tie, which no metric can score, raises SplitError.
     """
     n = len(ds)
     if n < MIN_SAMPLES:
@@ -239,7 +240,10 @@ def split_dataset(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     n_train = n - n_val - n_test
     perm = np.random.default_rng(seed).permutation(n).tolist()
     parts = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
-    return tuple(Dataset(xs=tuple(ds.xs[i] for i in part), y=tuple(ds.y[i] for i in part)) for part in parts)
+    train, val, test = (Dataset(xs=tuple(ds.xs[i] for i in part), y=tuple(ds.y[i] for i in part)) for part in parts)
+    if len(set(test.y)) == 1:
+        raise SplitError(f"the test split of seed {seed} ties every target at {test.y[0]!r}; no metric can score it")
+    return train, val, test
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def test_rosenbrock_hand_value():
     assert bbob.make("rosenbrock", 2).evaluate([0.0, 1.0]) == 101.0
 
 
+def test_rosenbrock_needs_two_coordinates():
+    # with one coordinate the sum is empty: rosenbrock would be 0 everywhere
+    with pytest.raises(ValueError, match="rosenbrock is 0 everywhere at dof 1"):
+        bbob.make("rosenbrock", 1)
+
+
 def test_sharp_ridge_value():
     assert bbob.make("sharp_ridge", 3).evaluate([2.0, 3.0, 4.0]) == 4.0 + 100.0 * 5.0
 

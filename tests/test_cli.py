@@ -22,6 +22,7 @@ def runner():
 
 
 def _write_config(path, **overrides):
+    """A small sweep; one that samples no task (no ``functions``) leaves ``n_samples`` out."""
     cfg = dict(
         functions=["sphere"],
         dofs=[2],
@@ -31,6 +32,8 @@ def _write_config(path, **overrides):
         train=FAST_TRAIN,
     )
     cfg.update(overrides)
+    if not cfg["functions"]:
+        del cfg["n_samples"]
     Path(path).write_text(json.dumps(cfg))
     return path
 
@@ -350,14 +353,18 @@ TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
         ("compare", {}, "compare needs at least 2 embedder specs"),
         ("sweep-dof", {"offline": {}}, "this experiment supports synthetic tasks only"),
         ("nlfd-corr", {"embedders": TWO_SPECS}, "nlfd-corr needs at least 3 tasks"),
-        ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}}, "offline task file '.*nope.json'"),
-        ("compare", {"embedders": TWO_SPECS, "offline": {"data": "nope.csv"}}, "offline data table '.*nope.csv'"),
+        ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}},
+         r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope.json'"),
+        ("compare", {"embedders": TWO_SPECS, "offline": {"data": "nope.csv"}},
+         r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope.csv'"),
         ("sweep-dof", {"seeds": []}, "sweep-dof plans no cells"),
         ("sweep-dof", {"dofs": [2, 2]}, "cell .*dof=2.* is planned more than once"),
+        ("sweep-dof", {"functions": ["rosenbrock"], "dofs": [1]}, "rosenbrock is 0 everywhere at dof 1; it needs dof >= 2"),
+        ("compare", {"embedders": TWO_SPECS, "offline": {"task": "."}}, r"offline entry .*: \[Errno 21\] Is a directory"),
     ],
 )
 def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, kind, overrides, message):
-    if "offline" in overrides:  # a sampled table, with the named file swapped for a missing one
+    if "offline" in overrides:  # a sampled table, with the named file swapped for a missing one or a directory
         task_file, data_file = _sampled(runner, tmp_path)
         entry = {"task": str(task_file), "data": str(data_file)}
         entry.update({k: str(tmp_path / v) for k, v in overrides["offline"].items()})
@@ -373,7 +380,8 @@ def test_config_mistakes_the_engine_checks_are_usage_errors(runner, tmp_path, ki
 def _broken(runner, tmp_path, fault):
     """A sampled 40-row sphere task and table, with one fault: a misspelt
     param kind or an offline source in the task file, an out-of-range first
-    row, 15 rows, or a constant y."""
+    row, 15 rows, a constant y, or a y of 1.0 on the first two rows and 0.0
+    on the rest, which ties the test split of seed 0 (rows 29, 33, 15 and 31)."""
     task_file, data_file = _sampled(runner, tmp_path)
     spec = json.loads(task_file.read_text())
     if fault == "kind":
@@ -386,8 +394,9 @@ def _broken(runner, tmp_path, fault):
         lines[1] = "9.0," + lines[1].split(",", 1)[1]
     if fault == "short":
         lines = lines[:16]
-    if fault == "constant":
-        lines[1:] = [line.rsplit(",", 1)[0] + ",1.0\n" for line in lines[1:]]
+    if fault in ("constant", "tied"):
+        lines[1:] = [line.rsplit(",", 1)[0] + (",1.0\n" if fault == "constant" or i < 2 else ",0.0\n")
+                     for i, line in enumerate(lines[1:])]
     data_file.write_text("".join(lines))
     return task_file, data_file
 
@@ -417,8 +426,9 @@ def test_task_files_and_tables_that_cannot_be_used_are_usage_errors(runner, tmp_
     [
         ("kind", "field 'kind' is 'continuous' or 'categorical', got {'name': 'x0', 'kind': 'continous'"),
         ("row", "row 1: param 'x0': value 9.0 outside"),
-        ("short", "15 rows, fewer than the 20 a split needs"),
-        ("constant", "every y is 1.0; no metric can score a constant target"),
+        ("short", "a split needs at least 20 rows, got 15"),
+        ("constant", "the test split of seed 0 ties every target at 1.0; no metric can score it"),
+        ("tied", "the test split of seed 0 ties every target at 0.0; no metric can score it"),
     ],
 )
 def test_offline_tables_are_read_when_the_run_is_planned(runner, tmp_path, fault, message):
@@ -430,6 +440,14 @@ def test_offline_tables_are_read_when_the_run_is_planned(runner, tmp_path, fault
     assert f"Error: Invalid value for '--config': offline entry {entry}: " in result.output, result.output
     assert message in result.output and "Traceback" not in result.output
     assert not (tmp_path / "runs").exists()
+
+
+def test_rosenbrock_at_dof_1_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["sample", "--function", "rosenbrock", "--dof", "1", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "Error: Invalid value for '--function': rosenbrock is 0 everywhere at dof 1; it needs dof >= 2" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_report_keeps_its_key_order(runner, tmp_path):
@@ -552,7 +570,7 @@ DIVERGING = {"learning_rates": [1e300], "weight_decays": [0.0], "max_epochs": 3}
         (["nlfd", *NLFD_PAIR], "constant",
          "Invalid value for '--data': --embedder-a and --embedder-b: z-score undefined: both samples have zero variance"),
         (["train", "--embedder", "traditional", "--train-config", json.dumps(FAST_TRAIN)], "constant",
-         "Invalid value for '--data': scoring the test split: kendall tau undefined: a series is entirely tied"),
+         "Invalid value for '--data': the test split of seed 0 ties every target at 1.0; no metric can score it"),
         (["train", "--embedder", "traditional", "--train-config", json.dumps(DIVERGING)], "sampled",
          "Invalid value for '--train-config': every sweep cell diverged"),
         (["nlfd", *NLFD_PAIR, "--export-distances"], "sampled", "No such option '--export-distances'"),
@@ -587,14 +605,14 @@ def test_train_refuses_a_tied_test_split_before_training(runner, tmp_path, monke
         raise AssertionError("mlp.train ran")
 
     monkeypatch.setattr(mlp, "train", fail)
-    task_file, data_file = _broken(runner, tmp_path, "constant")
+    task_file, data_file = _broken(runner, tmp_path, "tied")
     result = runner.invoke(
         main, ["train", "--out", str(tmp_path / "out"), "--task", str(task_file), "--data", str(data_file),
                "--embedder", "traditional"]
     )
     assert result.exit_code == 2, result.output
-    assert ("Error: Invalid value for '--data': scoring the test split: kendall tau undefined: "
-            "a series is entirely tied") in result.output
+    assert ("Error: Invalid value for '--data': the test split of seed 0 ties every target at 0.0; "
+            "no metric can score it") in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out").exists()
 

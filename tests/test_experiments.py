@@ -28,7 +28,8 @@ FAST_TRAIN = {
 
 
 def _cfg(**overrides):
-    """A small config; one given ``sizes`` (read by scale-data alone) leaves ``n_samples`` at its default."""
+    """A small config; one given ``sizes`` (read by scale-data alone) or no ``functions`` (so sampling no
+    task) leaves ``n_samples`` at its default."""
     base = dict(
         functions=["sphere"],
         dofs=[2],
@@ -36,7 +37,7 @@ def _cfg(**overrides):
         seeds=[0, 1],
         train=FAST_TRAIN,
     )
-    if "sizes" not in overrides:
+    if "sizes" not in overrides and overrides.get("functions", True):
         base["n_samples"] = 40
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
@@ -342,9 +343,44 @@ def test_missing_offline_task_file_is_rejected_before_any_cell(tmp_path, monkeyp
     tasks.write_dataset_csv(tasks.sample_uniform(task, 40, seed=5), task, tmp_path / "data.csv")
     monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
     cfg = _cfg(offline=[{"task": str(tmp_path / "nope.json"), "data": str(tmp_path / "data.csv")}])
-    with pytest.raises(ValueError, match=r"offline task file '.*nope\.json' does not exist"):
+    with pytest.raises(ValueError, match=r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope\.json'"):
         experiments.run_ablation(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _offline_entry(tmp_path, y=None, n=40):
+    """An offline sphere table of ``n`` sampled rows, with ``y`` in place of its targets if given."""
+    from embreg import tasks
+
+    task = tasks.RegressionTask(id="offline-sphere", params=tasks.synthetic_task("sphere", 2).params)
+    ds = tasks.sample_uniform(tasks.synthetic_task("sphere", 2), n, seed=5)
+    tasks.save_task(task, tmp_path / "task.json")
+    tasks.write_dataset_csv(ds if y is None else tasks.Dataset(ds.xs, tuple(y)), task, tmp_path / "data.csv")
+    return {"task": str(tmp_path / "task.json"), "data": str(tmp_path / "data.csv")}
+
+
+TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
+
+
+def test_a_table_that_some_seed_splits_into_tied_test_targets_is_refused_when_planned(tmp_path):
+    # y is 1.0 on rows 0 and 1: only seed 2's test split (rows 35, 36, 8, 1) holds one of them
+    entry = _offline_entry(tmp_path, y=[1.0, 1.0] + [0.0] * 38)
+    with pytest.raises(ValueError, match=re.escape(f"offline entry {entry}: the test split of seed 0 ties every")):
+        experiments.plan("compare", _cfg(functions=[], offline=[entry], embedders=TWO_SPECS, seeds=[0, 1, 2]))
+    assert len(experiments.plan("compare", _cfg(functions=[], offline=[entry], embedders=TWO_SPECS, seeds=[2]))) == 2
+
+
+def test_a_config_that_samples_no_task_does_not_read_n_samples(tmp_path):
+    """n_samples of 500 and 40 would run the same cells of a 60-row table into two run directories."""
+    entry = _offline_entry(tmp_path, n=60)
+    offline_only = {"functions": [], "offline": [entry], "embedders": TWO_SPECS, "seeds": [0]}
+    assert experiments.plan("compare", ExperimentConfig.from_dict({**offline_only, "n_samples": 500}))
+    for kind, overrides, match in [("compare", {}, "compare does not read the config field 'n_samples'"),
+                                   ("compare", {"functions": ["sphere"], "dofs": []}, "compare does not read"),
+                                   ("ablate", {}, "ablate does not read the config field 'n_samples'"),
+                                   ("sweep-dof", {}, "this experiment supports synthetic tasks only")]:
+        with pytest.raises(ValueError, match=match):
+            experiments.plan(kind, ExperimentConfig.from_dict({**offline_only, "n_samples": 40, **overrides}))
 
 
 def test_ablation_grid_and_zero_delta_baseline(tmp_path):

@@ -123,6 +123,24 @@ def test_split_rejects_fewer_than_min_samples_rows():
         tasks.split_dataset(small, seed=0)
 
 
+def test_split_refuses_a_test_split_whose_targets_all_tie():
+    """y is 1.0 on the first two of 40 rows: the test split of seed 0 (rows 29, 33, 15, 31) ties at 0.0,
+    and seed 2's (rows 35, 36, 8, 1) holds row 1, so it splits as the permutation says."""
+    sampled = tasks.sample_uniform(tasks.synthetic_task("sphere", 2), 40, seed=0)
+    ds = tasks.Dataset(xs=sampled.xs, y=tuple(1.0 if i < 2 else 0.0 for i in range(40)))
+    with pytest.raises(SplitError, match=r"the test split of seed 0 ties every target at 0\.0"):
+        tasks.split_dataset(ds, seed=0)
+    perm = np.random.default_rng(2).permutation(40).tolist()
+    parts = tasks.split_dataset(ds, seed=2)
+    assert [part.xs for part in parts] == [tuple(ds.xs[i] for i in p) for p in (perm[:32], perm[32:36], perm[36:])]
+    assert parts[2].y == (0.0, 0.0, 0.0, 1.0)
+
+
+def test_synthetic_task_refuses_rosenbrock_at_dof_1():
+    with pytest.raises(ValueError, match="rosenbrock is 0 everywhere at dof 1; it needs dof >= 2"):
+        tasks.synthetic_task("rosenbrock", 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(tasks.MIN_SAMPLES, 200), seed=st.integers(0, 2**31 - 1))
 def test_split_partition_property(n, seed):
