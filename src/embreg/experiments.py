@@ -351,6 +351,8 @@ def _write_cells(path: Path, records: list[dict], task_column: str) -> None:
 
 
 def summarize_dof_sweep(exp_dir: Path, store: RunStore) -> None:
+    """Mean Kendall tau per function, dof and slot; when the completed cells
+    fill exactly slots 0 and 1, also each task's smoothness and Kendall gaps."""
     records = store.ok_records()
     _write_cells(exp_dir / "dof_sweep_cells.csv", records, "function")
     rows = [
@@ -359,6 +361,8 @@ def summarize_dof_sweep(exp_dir: Path, store: RunStore) -> None:
     ]
     header = ["function", "dof", "embedder_slot", "embedder_kind", "runs", "mean_kendall_tau"]
     _write_csv(exp_dir / "dof_sweep_summary.csv", header, rows)
+    if {r["slot"] for r in records} == {0, 1}:
+        _summarize_nlfd(exp_dir, records)
 
 
 def summarize_comparison(exp_dir: Path, store: RunStore) -> None:
@@ -399,9 +403,11 @@ def _slot_pairs(records: list[dict], keys: tuple[str, ...]) -> list[tuple[tuple,
     ]
 
 
-def summarize_nlfd_correlation(exp_dir: Path, store: RunStore) -> None:
+def _summarize_nlfd(exp_dir: Path, records: list[dict]) -> None:
+    """Write each task's mean slot-0 vs slot-1 z-score and Kendall gap, and,
+    from 3 tasks on, the rank and linear correlations between the two."""
     per_task: dict[tuple, list[tuple[float, float]]] = {}
-    for (family, dof, _), a, b in _slot_pairs(store.ok_records(), ("family", "dof", "seed")):
+    for (family, dof, _), a, b in _slot_pairs(records, ("family", "dof", "seed")):
         z = zscore((a["nlfd_mu"], a["nlfd_sigma"]), (b["nlfd_mu"], b["nlfd_sigma"]))
         per_task.setdefault((family, dof), []).append((z, b["kendall_tau"] - a["kendall_tau"]))
     scatter = [[*task, _mean(z for z, _ in pairs), _mean(gap for _, gap in pairs)] for task, pairs in per_task.items()]
@@ -456,7 +462,6 @@ class Experiment:
     summarizer: str  # a module function's name, looked up at call time so tracers can wrap it
     embedders: tuple[int, float] = (0, math.inf)  # allowed number of embedder specs
     synthetic_only: bool = False
-    min_tasks: int = 0
     sizes: bool = False  # one cell per ``cfg.sizes`` entry instead of ``cfg.n_samples``
     variants: tuple[str, ...] | None = None  # string-format variants to cross, else the config's
 
@@ -464,7 +469,7 @@ class Experiment:
 #: Every experiment kind, keyed by its CLI command and directory prefix.
 EXPERIMENTS = {
     "sweep-dof": Experiment(
-        "Kendall-tau vs input dimension across functions and embedders.",
+        "Kendall-tau vs input dimension; with 2 embedders, smoothness gaps vs performance gaps too.",
         "summarize_dof_sweep",
         synthetic_only=True,
     ),
@@ -472,13 +477,6 @@ EXPERIMENTS = {
         "Pairwise embedder comparison with outperformance percentages.",
         "summarize_comparison",
         embedders=(2, math.inf),
-    ),
-    "nlfd-corr": Experiment(
-        "Correlate smoothness gaps (z-scores) with performance gaps.",
-        "summarize_nlfd_correlation",
-        embedders=(2, 2),
-        synthetic_only=True,
-        min_tasks=3,
     ),
     "scale-data": Experiment(
         "Embedder performance gap as the training set grows.",
@@ -499,7 +497,7 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
     Config mistakes (a field the kind does not read set off its default,
-    embedder count, offline or too few tasks, an offline file that cannot be
+    embedder count, offline tasks, an offline file that cannot be
     read or split, no cells or one cell key twice) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
@@ -512,8 +510,6 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     if not low <= len(cfg.embedders) <= high:
         raise ValueError(f"{kind} needs {'exactly' if low == high else 'at least'} {low} embedder specs")
     instances = enumerate_tasks(cfg, synthetic_only=exp.synthetic_only)
-    if len(instances) < exp.min_tasks:
-        raise ValueError(f"{kind} needs at least {exp.min_tasks} tasks")
     cells = _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
     if not cells:
         raise ValueError(f"{kind} plans no cells: tasks, seeds, embedder specs and sizes must each be non-empty")
@@ -566,7 +562,6 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, work
 
 run_dof_sweep = partial(run_experiment, "sweep-dof")
 run_comparison = partial(run_experiment, "compare")
-run_nlfd_correlation = partial(run_experiment, "nlfd-corr")
 run_data_scaling = partial(run_experiment, "scale-data")
 run_ablation = partial(run_experiment, "ablate")
 

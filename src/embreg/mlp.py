@@ -68,12 +68,6 @@ class MlpModel(dict):
         self.__dict__.update(self)
         self.input_dim = input_dim
 
-    def params(self) -> dict[str, np.ndarray]:
-        return dict(self)
-
-    def copy_weights(self) -> "MlpModel":
-        return MlpModel(self.input_dim, self.flat.copy())
-
 
 def _draw_init(model: MlpModel, seed: int) -> None:
     """He-style uniform init, seeded; biases start at zero."""
@@ -400,7 +394,7 @@ def save_model(path, model: MlpModel, normalizer: YNormalizer, provenance: str) 
         "sigma": normalizer.sigma,
         "provenance": provenance,
     }
-    np.savez(path, meta=json.dumps(meta), **model.params())
+    np.savez(path, meta=json.dumps(meta), **model)
 
 
 def load_model(path) -> tuple[MlpModel, YNormalizer, str]:

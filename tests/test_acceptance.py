@@ -73,7 +73,7 @@ def test_c2_gradients_match_finite_differences():
         x = rng.standard_normal((16, dim))
         y = rng.standard_normal(16)
         _, grads = mlp.loss_and_grad(model, x, y)
-        for name, param in model.params().items():
+        for name, param in model.items():
             flat = param.reshape(-1)
             count = min(8, flat.size)
             for idx in rng.choice(flat.size, size=count, replace=False):

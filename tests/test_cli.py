@@ -41,8 +41,7 @@ def _write_config(path, **overrides):
 def test_help(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
-    for sub in ("sample", "embed", "train", "nlfd", "sweep-dof", "compare",
-                "nlfd-corr", "scale-data", "ablate", "report"):
+    for sub in ("sample", "embed", "train", "nlfd", "sweep-dof", "compare", "scale-data", "ablate", "report"):
         assert sub in result.output
 
 
@@ -298,7 +297,7 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
     [
         ("sweep-dof", {"sizes": [20, 30]}, "sizes"),
         ("compare", {"sizes": [20, 30]}, "sizes"),
-        ("nlfd-corr", {"sizes": [20, 30]}, "sizes"),
+        ("compare", {"dofs": []}, "n_samples"),  # a config that samples no task
         ("ablate", {"sizes": [20, 30]}, "sizes"),
         ("scale-data", {"sizes": [20, 40]}, "n_samples"),  # _write_config sets n_samples to 40
         ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),
@@ -352,7 +351,7 @@ TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
     [
         ("compare", {}, "compare needs at least 2 embedder specs"),
         ("sweep-dof", {"offline": {}}, "this experiment supports synthetic tasks only"),
-        ("nlfd-corr", {"embedders": TWO_SPECS}, "nlfd-corr needs at least 3 tasks"),
+        ("scale-data", {"n_samples": 500}, "scale-data needs exactly 2 embedder specs"),  # n_samples at its default
         ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}},
          r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope.json'"),
         ("compare", {"embedders": TWO_SPECS, "offline": {"data": "nope.csv"}},
@@ -625,6 +624,7 @@ def test_train_refuses_a_tied_test_split_before_training(runner, tmp_path, monke
         ("sweep-dof-0123456789AB", True),  # a config hash is lower-case hex
         ("sweep-dof-0123456789a", True),  # ... of 12 digits
         ("sweep-dof-0123456789ab", False),  # a run directory's name, but no records.jsonl
+        ("nlfd-corr-0123456789ab", True),  # a deleted kind: sweep-dof writes its files
     ],
 )
 def test_report_refuses_a_directory_that_is_not_a_run(runner, tmp_path, name, records):

@@ -250,8 +250,8 @@ def test_nlfd_correlation_scatter_and_antisymmetry(tmp_path):
     cfg_ba = ExperimentConfig.from_dict(
         dict(base, embedders=[{"kind": "scrambled"}, {"kind": "traditional"}])
     )
-    dir_ab = experiments.run_nlfd_correlation(cfg_ab, tmp_path / "ab")
-    dir_ba = experiments.run_nlfd_correlation(cfg_ba, tmp_path / "ba")
+    dir_ab = experiments.run_dof_sweep(cfg_ab, tmp_path / "ab")
+    dir_ba = experiments.run_dof_sweep(cfg_ba, tmp_path / "ba")
 
     scatter_ab = _read_csv(dir_ab / "nlfd_scatter.csv")
     scatter_ba = _read_csv(dir_ba / "nlfd_scatter.csv")
@@ -267,19 +267,30 @@ def test_nlfd_correlation_scatter_and_antisymmetry(tmp_path):
 
 
 def test_nlfd_correlation_requires_three_tasks(tmp_path):
-    cfg = _cfg(
-        functions=["sphere"],
-        dofs=[2],
-        embedders=[{"kind": "traditional"}, {"kind": "scrambled"}],
-    )
-    with pytest.raises(ValueError, match="3 tasks"):
-        experiments.run_nlfd_correlation(cfg, tmp_path)
+    """A two-slot sweep of 2 tasks writes their scatter rows but no correlations."""
+    cfg = _cfg(functions=["sphere", "rastrigin"], embedders=[{"kind": "traditional"}, {"kind": "scrambled"}], seeds=[0])
+    exp_dir = experiments.run_dof_sweep(cfg, tmp_path)
+    assert len(_read_csv(exp_dir / "nlfd_scatter.csv")) - 1 == 2
+    assert not (exp_dir / "nlfd_correlations.csv").exists()
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_a_dof_sweep_writes_nlfd_files_for_exactly_two_slots(tmp_path, slots):
+    embedders = [{"kind": "traditional"}, {"kind": "scrambled"}, {"kind": "scrambled_perm"}][:slots]
+    cfg = _cfg(functions=["sphere", "rastrigin", "discus"], embedders=embedders, seeds=[0])
+    exp_dir = experiments.run_dof_sweep(cfg, tmp_path)
+    written = {p.name: p.read_bytes() for p in exp_dir.glob("nlfd_*.csv")}
+    assert set(written) == ({"nlfd_scatter.csv", "nlfd_correlations.csv"} if slots == 2 else set())
+    for path in exp_dir.glob("nlfd_*.csv"):
+        path.unlink()
+    experiments.regenerate_summaries(exp_dir)
+    assert {p.name: p.read_bytes() for p in exp_dir.glob("nlfd_*.csv")} == written
 
 
 def test_an_a_a_control_writes_undefined_correlations_as_nan(tmp_path):
     """One spec in both slots ties every z and every kendall gap, so no correlation is defined."""
     cfg = _cfg(functions=["sphere", "rastrigin", "discus"], embedders=[{"kind": "traditional"}] * 2, seeds=[0])
-    exp_dir = experiments.run_nlfd_correlation(cfg, tmp_path)
+    exp_dir = experiments.run_dof_sweep(cfg, tmp_path)
     assert {row[2] for row in _read_csv(exp_dir / "nlfd_scatter.csv")[1:]} == {"0.0"}
     assert (exp_dir / "nlfd_correlations.csv").read_text() == "n_tasks,kendall_tau,spearman,pearson\n3,nan,nan,nan\n"
     assert json.loads((exp_dir / "status.json").read_text())["ok"] == 6
@@ -866,8 +877,8 @@ def _paired_records(sizes):
             cell = experiments._cell_key(family=family, dof=dof, slot=slot, seed=seed, n=n, fmt="full_dict")
             records.append({
                 "cell": cell, "status": "ok", "family": family, "dof": dof, "seed": seed, "n": n, "slot": slot,
-                "kendall_tau": (i * i % 23) / 23 - 0.3, "nlfd_mu": 1 + (7 * i % 11) / 10,
-                "nlfd_sigma": 0.2 + (5 * i % 7) / 20,
+                "embedder_kind": ("traditional", "scrambled")[slot], "kendall_tau": (i * i % 23) / 23 - 0.3,
+                "nlfd_mu": 1 + (7 * i % 11) / 10, "nlfd_sigma": 0.2 + (5 * i % 7) / 20,
             })
     return records
 
@@ -879,7 +890,7 @@ PINNED_HASH = "0123456789ab"  # a run directory is named <kind>-<12 hex digits o
     "kind, sizes, expected",
     [
         (
-            "nlfd-corr",
+            "sweep-dof",
             (40,),
             {
                 "nlfd_scatter.csv": "function,dof,zscore,kendall_gap\n"
@@ -919,7 +930,8 @@ def test_summaries_do_not_depend_on_record_order(tmp_path, kind):
     records = [
         {"cell": experiments._cell_key(family="sphere", dof=2, slot=slot, seed=seed, n=40, fmt="full_dict"),
          "status": "ok", "family": "sphere", "dof": 2, "slot": slot, "embedder_kind": "traditional", "seed": seed,
-         "n": 40, "fmt": "full_dict", "kendall_tau": tau if slot == 0 else -tau}
+         "n": 40, "fmt": "full_dict", "kendall_tau": tau if slot == 0 else -tau, "nlfd_mu": 1 + tau * slot,
+         "nlfd_sigma": 0.5}
         for seed, tau in enumerate(taus)
         for slot in (0, 1)
     ]
@@ -1033,7 +1045,6 @@ def test_plans_with_no_cells_or_a_repeated_cell_key_fail_before_any_cell(tmp_pat
     [
         ("sweep-dof", {"sizes": [20, 30]}, "sizes"),
         ("compare", {"sizes": [20, 30]}, "sizes"),
-        ("nlfd-corr", {"sizes": [20, 30]}, "sizes"),
         ("ablate", {"sizes": [20, 30]}, "sizes"),
         ("scale-data", {"sizes": [20, 40], "n_samples": 40}, "n_samples"),
         ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),

@@ -48,7 +48,7 @@ def test_fit_normalizer_needs_two_values():
 
 def test_forward_zero_weights():
     model = init_model(4, seed=0)
-    for p in model.params().values():
+    for p in model.values():
         p[:] = 0.0
     out = forward(model, np.ones((3, 4)))
     assert np.array_equal(out, np.zeros(3))
@@ -94,7 +94,7 @@ def _finite_difference_check(input_dim, rows, seed, coords_per_tensor=25, step=1
     y = rng.standard_normal(rows)
     _, grads = loss_and_grad(model, x, y)
     worst = 0.0
-    for name, param in model.params().items():
+    for name, param in model.items():
         flat = param.reshape(-1)
         count = min(coords_per_tensor, flat.size)
         for idx in rng.choice(flat.size, size=count, replace=False):
@@ -123,10 +123,10 @@ def test_gradients_match_finite_differences_more_dims():
 def test_adamw_zero_grad_is_fixed_point():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
-    before = model.copy_weights()
+    before = MlpModel(model.input_dim, model.flat.copy())
     zero = MlpModel(model.input_dim)
     adamw_step(model, zero, lr=1e-3, weight_decay=0.0, state=state)
-    for name, value in model.params().items():
+    for name, value in model.items():
         assert np.array_equal(value, before[name])
     assert state.step == 1
 
@@ -134,10 +134,10 @@ def test_adamw_zero_grad_is_fixed_point():
 def test_adamw_decoupled_decay_shrinks():
     model = init_model(3, seed=0)
     state = AdamState.init(model)
-    before = model.copy_weights()
+    before = MlpModel(model.input_dim, model.flat.copy())
     zero = MlpModel(model.input_dim)
     adamw_step(model, zero, lr=1e-2, weight_decay=0.1, state=state)
-    for name, value in model.params().items():
+    for name, value in model.items():
         assert np.allclose(value, before[name] * (1 - 1e-2 * 0.1))
 
 
@@ -194,8 +194,8 @@ def test_train_deterministic():
     m2, _, r2 = mlp.train((x, y), (xv, yv), cfg, seed=7)
     assert (r1.chosen_lr, r1.chosen_wd) == (r2.chosen_lr, r2.chosen_wd)
     assert r1.sweep == r2.sweep
-    for name in m1.params():
-        assert np.array_equal(m1.params()[name], m2.params()[name])
+    for name in m1:
+        assert np.array_equal(m1[name], m2[name])
 
 
 def test_early_stopping_restores_best_weights():
@@ -271,16 +271,16 @@ def test_model_save_load_roundtrip(tmp_path):
 def test_param_views_write_through_to_forward():
     model = init_model(3, seed=0)
     x = np.random.default_rng(0).standard_normal((5, 3))
-    model.params()["w1"].reshape(-1)[:] = 0.0  # h1 = relu(b1) = 0, so h2 = 0 too
-    model.params()["b3"].reshape(-1)[0] = 2.5
+    model["w1"].reshape(-1)[:] = 0.0  # h1 = relu(b1) = 0, so h2 = 0 too
+    model["b3"].reshape(-1)[0] = 2.5
     assert np.array_equal(forward(model, x), np.full(5, 2.5))
     assert np.all(model.flat[: model.w1.size] == 0.0) and model.flat[-1] == 2.5
 
 
-def test_copy_weights_is_a_snapshot():
+def test_a_model_on_a_copied_buffer_is_a_snapshot():
     model = init_model(3, seed=0)
     x, y = _linear_problem(20, 3, seed=0)
-    snapshot = model.copy_weights()
+    snapshot = MlpModel(model.input_dim, model.flat.copy())
     frozen = snapshot.flat.copy()
     state = AdamState.init(model)
     for _ in range(3):
@@ -374,7 +374,7 @@ def test_fast_steps_equal_oracle_steps(n):
             oracle_losses.append(loss)
     assert len(fast_losses) == (8 if n == 300 else 40)
     assert fast_losses == oracle_losses
-    for name, value in model.params().items():
+    for name, value in model.items():
         assert np.array_equal(value, w[name]), name
 
 
@@ -415,7 +415,7 @@ def test_train_equals_oracle_training_loop(dim, n):
     model, _, report = mlp.train((x, y), (xv, yv), cfg, seed=2)
     weights, sweep = _oracle_train(x, y, xv, yv, cfg, seed=2)
     assert report.sweep == sweep
-    for name, value in model.params().items():
+    for name, value in model.items():
         assert np.array_equal(value, weights[name]), name
 
 
