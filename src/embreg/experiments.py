@@ -143,16 +143,12 @@ class TaskInstance:
         return self.task.params if self.dataset is None else self
 
 
-def enumerate_tasks(cfg: ExperimentConfig, synthetic_only: bool = False) -> list[TaskInstance]:
+def enumerate_tasks(cfg: ExperimentConfig) -> list[TaskInstance]:
     instances = [
         TaskInstance(family=fn, task=synthetic_task(fn, dof))
         for fn in cfg.functions
         for dof in cfg.dofs
     ]
-    if synthetic_only:
-        if cfg.offline:
-            raise ValueError("this experiment supports synthetic tasks only")
-        return instances
     for entry in cfg.offline:
         try:  # read once and split for every seed, here, so a table no cell can use is a config error
             task = load_task(entry["task"])
@@ -314,6 +310,14 @@ def _group(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, list[dict]
     return grouped
 
 
+def _kendall_means(records: list[dict], keys: tuple[str, ...]) -> dict[tuple, tuple[str, int, float]]:
+    """``(embedder kind, record count, mean Kendall tau)`` for each value of ``keys``."""
+    return {
+        key: (group[0]["embedder_kind"], len(group), _mean(r["kendall_tau"] for r in group))
+        for key, group in _group(records, keys).items()
+    }
+
+
 def _standard_cells(cfg: ExperimentConfig, instances, *, sizes=None, variants=None):
     """Cross product of tasks, embedders, seeds, and optional extra axes.
 
@@ -350,39 +354,30 @@ def _write_cells(path: Path, records: list[dict], task_column: str) -> None:
     _write_csv(path, [task_column, "dof", "embedder_slot", "embedder_kind", "seed", "kendall_tau"], rows)
 
 
-def summarize_dof_sweep(exp_dir: Path, store: RunStore) -> None:
+def summarize_dof_sweep(exp_dir: Path, records: list[dict]) -> None:
     """Mean Kendall tau per function, dof and slot; when the completed cells
     fill exactly slots 0 and 1, also each task's smoothness and Kendall gaps."""
-    records = store.ok_records()
     _write_cells(exp_dir / "dof_sweep_cells.csv", records, "function")
-    rows = [
-        [family, dof, slot, group[0]["embedder_kind"], len(group), _mean(r["kendall_tau"] for r in group)]
-        for (family, dof, slot), group in sorted(_group(records, ("family", "dof", "slot")).items())
-    ]
+    rows = [[*key, *value] for key, value in sorted(_kendall_means(records, ("family", "dof", "slot")).items())]
     header = ["function", "dof", "embedder_slot", "embedder_kind", "runs", "mean_kendall_tau"]
     _write_csv(exp_dir / "dof_sweep_summary.csv", header, rows)
     if {r["slot"] for r in records} == {0, 1}:
         _summarize_nlfd(exp_dir, records)
 
 
-def summarize_comparison(exp_dir: Path, store: RunStore) -> None:
-    records = store.ok_records()
+def summarize_comparison(exp_dir: Path, records: list[dict]) -> None:
     _write_cells(exp_dir / "comparison_cells.csv", records, "family")
-    # Mean tau per task instance, keyed by embedder slot.
-    per_task: dict[tuple, dict[int, float]] = {}
-    kinds: dict[int, str] = {}
-    for (family, dof, slot), group in _group(records, ("family", "dof", "slot")).items():
-        per_task.setdefault((family, dof), {})[slot] = _mean(r["kendall_tau"] for r in group)
-        kinds[slot] = group[0]["embedder_kind"]
-
+    means = _kendall_means(records, ("family", "dof", "slot"))
+    kinds = {slot: kind for (_, _, slot), (kind, _, _) in means.items()}
     rows = []
-    for family in sorted({family for family, _ in per_task}):
-        task_means = [per_task[k] for k in sorted(per_task) if k[0] == family]
+    for family in sorted({family for family, _, _ in means}):
+        dofs = sorted({dof for f, dof, _ in means if f == family})
         for slot_a, slot_b in combinations(sorted(kinds), 2):
-            paired = [(m[slot_a], m[slot_b]) for m in task_means if slot_a in m and slot_b in m]
+            paired = [dof for dof in dofs if (family, dof, slot_a) in means and (family, dof, slot_b) in means]
             if not paired:
                 continue
-            a_scores, b_scores = [p[0] for p in paired], [p[1] for p in paired]
+            a_scores = [means[family, dof, slot_a][2] for dof in paired]
+            b_scores = [means[family, dof, slot_b][2] for dof in paired]
             rows.append([
                 family, slot_a, kinds[slot_a], slot_b, kinds[slot_b], len(paired), _mean(a_scores), _mean(b_scores),
                 metrics.outperformance_rate(a_scores, b_scores), metrics.outperformance_rate(b_scores, a_scores),
@@ -424,9 +419,9 @@ def _summarize_nlfd(exp_dir: Path, records: list[dict]) -> None:
         _write_csv(exp_dir / "nlfd_correlations.csv", ["n_tasks", "kendall_tau", "spearman", "pearson"], [row])
 
 
-def summarize_data_scaling(exp_dir: Path, store: RunStore) -> None:
+def summarize_data_scaling(exp_dir: Path, records: list[dict]) -> None:
     gaps: dict[int, list[float]] = {}
-    for (size, *_), a, b in _slot_pairs(store.ok_records(), ("n", "family", "dof", "seed")):
+    for (size, *_), a, b in _slot_pairs(records, ("n", "family", "dof", "seed")):
         gaps.setdefault(size, []).append(b["kendall_tau"] - a["kendall_tau"])
     rows = []
     for size, size_gaps in gaps.items():
@@ -438,15 +433,13 @@ def summarize_data_scaling(exp_dir: Path, store: RunStore) -> None:
     _write_csv(exp_dir / "data_scaling_summary.csv", header, rows)
 
 
-def summarize_ablation(exp_dir: Path, store: RunStore) -> None:
-    grouped = _group(store.ok_records(), ("family", "dof", "slot", "fmt"))
-    means = {key: _mean(r["kendall_tau"] for r in group) for key, group in grouped.items()}
+def summarize_ablation(exp_dir: Path, records: list[dict]) -> None:
+    means = _kendall_means(records, ("family", "dof", "slot", "fmt"))
     rows = []
-    for (family, dof, slot, fmt_variant), mean_tau in sorted(means.items()):
+    for (family, dof, slot, fmt_variant), (kind, runs, mean_tau) in sorted(means.items()):
         base = means.get((family, dof, 0, FULL_DICT))
-        delta = mean_tau - base if base is not None else float("nan")
-        group = grouped[(family, dof, slot, fmt_variant)]
-        rows.append([family, dof, slot, group[0]["embedder_kind"], fmt_variant, len(group), mean_tau, delta])
+        delta = mean_tau - base[2] if base is not None else float("nan")
+        rows.append([family, dof, slot, kind, fmt_variant, runs, mean_tau, delta])
     header = ["family", "dof", "embedder_slot", "embedder_kind", "string_format", "runs", "mean_kendall_tau",
               "delta_vs_baseline"]
     _write_csv(exp_dir / "ablation_summary.csv", header, rows)
@@ -461,7 +454,7 @@ class Experiment:
     help: str
     summarizer: str  # a module function's name, looked up at call time so tracers can wrap it
     embedders: tuple[int, float] = (0, math.inf)  # allowed number of embedder specs
-    synthetic_only: bool = False
+    synthetic_only: bool = False  # does not read ``cfg.offline``
     sizes: bool = False  # one cell per ``cfg.sizes`` entry instead of ``cfg.n_samples``
     variants: tuple[str, ...] | None = None  # string-format variants to cross, else the config's
 
@@ -497,19 +490,20 @@ def plan(kind: str, cfg: ExperimentConfig) -> list[tuple[str, dict]]:
     """The cells of one :data:`EXPERIMENTS` kind over ``cfg``.
 
     Config mistakes (a field the kind does not read set off its default,
-    embedder count, offline tasks, an offline file that cannot be
-    read or split, no cells or one cell key twice) raise ValueError.
+    among them offline entries on a synthetic-only kind, embedder count, an
+    offline file that cannot be read or split, no cells or one cell key
+    twice) raise ValueError.
     """
     exp = EXPERIMENTS[kind]
-    # a config that samples no task reads no n_samples; a synthetic-only kind refuses its offline entries itself
-    samples = not exp.sizes and (exp.synthetic_only or (cfg.functions and cfg.dofs))
-    for name, read in (("sizes", exp.sizes), ("n_samples", samples), ("string_format.variant", not exp.variants)):
+    samples = not exp.sizes and cfg.functions and cfg.dofs  # a config that samples no task reads no n_samples
+    for name, read in (("offline", not exp.synthetic_only), ("sizes", exp.sizes), ("n_samples", samples),
+                       ("string_format.variant", not exp.variants)):
         if not read and attrgetter(name)(cfg) != attrgetter(name)(ExperimentConfig()):
             raise ValueError(f"{kind} does not read the config field {name!r}: leave it out or at its default")
     low, high = exp.embedders
     if not low <= len(cfg.embedders) <= high:
         raise ValueError(f"{kind} needs {'exactly' if low == high else 'at least'} {low} embedder specs")
-    instances = enumerate_tasks(cfg, synthetic_only=exp.synthetic_only)
+    instances = enumerate_tasks(cfg)
     cells = _standard_cells(cfg, instances, sizes=cfg.sizes if exp.sizes else None, variants=exp.variants)
     if not cells:
         raise ValueError(f"{kind} plans no cells: tasks, seeds, embedder specs and sizes must each be non-empty")
@@ -563,20 +557,19 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_root, force=False, work
 run_dof_sweep = partial(run_experiment, "sweep-dof")
 run_comparison = partial(run_experiment, "compare")
 run_data_scaling = partial(run_experiment, "scale-data")
-run_ablation = partial(run_experiment, "ablate")
 
 
 def _summarize(kind: str, store: RunStore, echo=None) -> None:
     """Write ``status.json`` of a run directory, then its summary CSVs, so a
     summarizer that fails still leaves the run's counts."""
-    failed = store.failed_records()
+    records, failed = store.ok_records(), store.failed_records()
     status = {
-        "ok": len(store.ok_records()),
+        "ok": len(records),
         "failed": len(failed),
         "failed_cells": sorted(r["cell"] for r in failed),
     }
     _write_atomic(store.directory / "status.json", json.dumps(status, indent=2) + "\n")
-    globals()[EXPERIMENTS[kind].summarizer](store.directory, store)
+    globals()[EXPERIMENTS[kind].summarizer](store.directory, records)
     if failed and echo:
         echo(f"warning: {len(failed)} cells failed; see status.json")
 

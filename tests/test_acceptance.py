@@ -8,6 +8,7 @@ checks (C3, C4, C6) each finish in well under their stated budgets.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from embreg import embedders, metrics, mlp, nlfd, tasks
+from embreg import embedders, experiments, metrics, mlp, nlfd, tasks
 from embreg.bbob import CATALOG
 from embreg.cli import main
 from embreg.featurize import StringFormat, serialize
@@ -206,6 +207,28 @@ def test_c6_smoothness_gap_tracks_performance_gap():
     assert rho > 0.5
     assert elapsed < 1800.0
     _pass("C6", f"sign agreement {agreements}/8, pearson(z, gap)={rho:.3f} in {elapsed:.0f}s")
+
+
+def test_c6_through_the_runner(tmp_path):
+    """C6's grid and bounds, read from the files a 2-slot ``sweep-dof`` run writes."""
+    started = time.time()
+    cfg = experiments.ExperimentConfig(
+        functions=CATALOG, dofs=(10,), embedders=({"kind": "traditional"}, {"kind": "scrambled"}),
+        n_samples=500, seeds=(0,),
+        train=mlp.TrainConfig(learning_rates=(1e-3, 5e-3), weight_decays=(0.0,), max_epochs=200, patience=20),
+    )
+    exp_dir = experiments.run_dof_sweep(cfg, tmp_path)
+    with open(exp_dir / "nlfd_scatter.csv", newline="") as f:
+        scatter = list(csv.DictReader(f))
+    with open(exp_dir / "nlfd_correlations.csv", newline="") as f:
+        (correlations,) = csv.DictReader(f)
+    agreements = sum(1 for row in scatter if np.sign(float(row["zscore"])) == np.sign(float(row["kendall_gap"])))
+    rho = float(correlations["pearson"])
+    elapsed = time.time() - started
+    assert len(scatter) == 8
+    assert agreements >= 7
+    assert rho > 0.5
+    _pass("C6 through the runner", f"sign agreement {agreements}/8, pearson(z, gap)={rho:.3f} in {elapsed:.0f}s")
 
 
 # -- C7 ----------------------------------------------------------------------

@@ -301,6 +301,8 @@ def test_bad_config_is_a_usage_error(runner, tmp_path, overrides):
         ("ablate", {"sizes": [20, 30]}, "sizes"),
         ("scale-data", {"sizes": [20, 40]}, "n_samples"),  # _write_config sets n_samples to 40
         ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),
+        ("sweep-dof", {"offline": [{"task": "t.json", "data": "d.csv"}]}, "offline"),
+        ("scale-data", {"offline": [{"task": "t.json", "data": "d.csv"}]}, "offline"),  # refused before n_samples
     ],
 )
 def test_a_field_the_kind_does_not_read_is_a_usage_error(runner, tmp_path, kind, overrides, field):
@@ -350,7 +352,7 @@ TWO_SPECS = [{"kind": "traditional"}, {"kind": "scrambled"}]
     "kind, overrides, message",
     [
         ("compare", {}, "compare needs at least 2 embedder specs"),
-        ("sweep-dof", {"offline": {}}, "this experiment supports synthetic tasks only"),
+        ("sweep-dof", {"offline": {}}, "sweep-dof does not read the config field 'offline': leave it out or at its default"),
         ("scale-data", {"n_samples": 500}, "scale-data needs exactly 2 embedder specs"),  # n_samples at its default
         ("compare", {"embedders": TWO_SPECS, "offline": {"task": "nope.json"}},
          r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope.json'"),
@@ -544,7 +546,7 @@ def test_a_run_reads_each_offline_table_once(runner, tmp_path, monkeypatch):
 def test_a_value_error_after_cells_start_is_not_a_config_error(runner, tmp_path, monkeypatch):
     from embreg import experiments
 
-    def fail(exp_dir, store):
+    def fail(exp_dir, records):
         raise ValueError("summary failed")
 
     monkeypatch.setattr(experiments, "summarize_dof_sweep", fail)

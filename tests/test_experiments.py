@@ -141,7 +141,7 @@ def test_dof_sweep_produces_summary(tmp_path):
 
 def test_dof_sweep_rejects_offline_tasks(tmp_path):
     cfg = _cfg(offline=[{"task": "t.json", "data": "d.csv"}])
-    with pytest.raises(ValueError, match="synthetic"):
+    with pytest.raises(ValueError, match="sweep-dof does not read the config field 'offline'"):
         experiments.run_dof_sweep(cfg, tmp_path)
 
 
@@ -298,7 +298,7 @@ def test_an_a_a_control_writes_undefined_correlations_as_nan(tmp_path):
 
 
 def test_status_is_written_before_a_summarizer_that_fails(tmp_path, monkeypatch):
-    def fail(exp_dir, store):
+    def fail(exp_dir, records):
         raise ValueError("summary failed")
 
     monkeypatch.setattr(experiments, "summarize_dof_sweep", fail)
@@ -342,7 +342,7 @@ def test_data_scaling_rejects_offline_tasks_before_any_cell(tmp_path, monkeypatc
         embedders=[{"kind": "traditional"}, {"kind": "scrambled"}],
         sizes=[20, 40],
     )
-    with pytest.raises(ValueError, match="synthetic"):
+    with pytest.raises(ValueError, match="scale-data does not read the config field 'offline'"):
         experiments.run_data_scaling(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -355,7 +355,7 @@ def test_missing_offline_task_file_is_rejected_before_any_cell(tmp_path, monkeyp
     monkeypatch.setattr(experiments, "run_cell", lambda **kw: pytest.fail("a cell ran"))
     cfg = _cfg(offline=[{"task": str(tmp_path / "nope.json"), "data": str(tmp_path / "data.csv")}])
     with pytest.raises(ValueError, match=r"offline entry .*: \[Errno 2\] No such file or directory: '.*nope\.json'"):
-        experiments.run_ablation(cfg, tmp_path / "out")
+        experiments.run_experiment("ablate", cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -389,7 +389,7 @@ def test_a_config_that_samples_no_task_does_not_read_n_samples(tmp_path):
     for kind, overrides, match in [("compare", {}, "compare does not read the config field 'n_samples'"),
                                    ("compare", {"functions": ["sphere"], "dofs": []}, "compare does not read"),
                                    ("ablate", {}, "ablate does not read the config field 'n_samples'"),
-                                   ("sweep-dof", {}, "this experiment supports synthetic tasks only")]:
+                                   ("sweep-dof", {}, "sweep-dof does not read the config field 'offline'")]:
         with pytest.raises(ValueError, match=match):
             experiments.plan(kind, ExperimentConfig.from_dict({**offline_only, "n_samples": 40, **overrides}))
 
@@ -399,7 +399,7 @@ def test_ablation_grid_and_zero_delta_baseline(tmp_path):
         embedders=[{"kind": "vocab_pool", "width": 16}, {"kind": "synthetic_transformer", "model_dim": 16, "ff_dim": 32, "heads": 2}],
         seeds=[0],
     )
-    exp_dir = experiments.run_ablation(cfg, tmp_path)
+    exp_dir = experiments.run_experiment("ablate", cfg, tmp_path)
     rows = _read_csv(exp_dir / "ablation_summary.csv")
     assert len(rows) - 1 == 4  # 2 backends x 2 formats x 1 task
     header = rows[0]
@@ -413,7 +413,7 @@ def test_ablation_formats_serialize_differently(tmp_path):
         embedders=[{"kind": "vocab_pool", "width": 16}],
         seeds=[0],
     )
-    exp_dir = experiments.run_ablation(cfg, tmp_path)
+    exp_dir = experiments.run_experiment("ablate", cfg, tmp_path)
     records = [json.loads(line) for line in (exp_dir / "records.jsonl").read_text().splitlines()]
     variants = {r["fmt"] for r in records}
     assert variants == {"full_dict", "values_only"}
@@ -1048,6 +1048,8 @@ def test_plans_with_no_cells_or_a_repeated_cell_key_fail_before_any_cell(tmp_pat
         ("ablate", {"sizes": [20, 30]}, "sizes"),
         ("scale-data", {"sizes": [20, 40], "n_samples": 40}, "n_samples"),
         ("ablate", {"string_format": {"variant": "values_only"}}, "string_format.variant"),
+        ("sweep-dof", {"offline": [{"task": "t.json", "data": "d.csv"}]}, "offline"),
+        ("scale-data", {"sizes": [20, 40], "offline": [{"task": "t.json", "data": "d.csv"}]}, "offline"),
     ],
 )
 def test_a_field_the_kind_does_not_read_is_refused_before_any_cell(tmp_path, monkeypatch, kind, overrides, field):
