@@ -127,6 +127,14 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _head_map(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(head_dim)) for one head's (length, head_dim)
+    queries and keys, written into ``out``: out[i, j] = q_i . k_j / sqrt(head_dim)."""
+    np.matmul(q, k.T, out=out)
+    out /= math.sqrt(q.shape[1])
+    return _softmax(out)
+
+
 def _position_encoding(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length)[:, None]
     i = np.arange(dim)[None, :]
@@ -185,28 +193,26 @@ class SyntheticTransformer:
             self._position_table = table
         return table[:length]
 
-    def _attention(self, h: np.ndarray, weights: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The block's output and its (heads, length, length) attention map."""
+    def _attention(self, h: np.ndarray, weights: dict) -> np.ndarray:
+        """The block's output, one head at a time: each head's (length, length)
+        map is built in one reused buffer and mixed into that head's columns."""
         length, dm = h.shape
-        heads = self.cfg.heads
-        head_dim = dm // heads
-
-        def by_head(w: np.ndarray) -> np.ndarray:  # (length, dm) -> (heads, length, head_dim)
-            return (h @ w).reshape(length, heads, head_dim).transpose(1, 0, 2)
-
-        q, k, v = by_head(weights["wq"]), by_head(weights["wk"]), by_head(weights["wv"])
-        # scores[head, i, j] = q_i . k_j / sqrt(head_dim)
-        scores = q @ k.transpose(0, 2, 1)
-        scores /= math.sqrt(head_dim)
-        attn = _softmax(scores)
-        mixed = (attn @ v).transpose(1, 0, 2).reshape(length, dm)
-        return mixed @ weights["wo"], attn
+        head_dim = dm // self.cfg.heads
+        q, k, v = h @ weights["wq"], h @ weights["wk"], h @ weights["wv"]
+        attn = np.empty((length, length))
+        mixed = np.empty((length, dm))
+        for lo in range(0, dm, head_dim):
+            cols = slice(lo, lo + head_dim)
+            # Each product has the operand layout of one head of a stacked (heads,
+            # length, head_dim) matmul, so it makes the same GEMM call and bits.
+            np.matmul(_head_map(q[:, cols], k[:, cols], attn), v[:, cols], out=mixed[:, cols])
+        return mixed @ weights["wo"]
 
     def _forward(self, text: str) -> np.ndarray:
         ids = tokenize(text)
         h = self.table.entries[ids] + self._positions(len(ids))  # a fresh array, so += is safe
         for weights in self.layers:
-            h += self._attention(_layer_norm(h), weights)[0]
+            h += self._attention(_layer_norm(h), weights)
             h += np.maximum(_layer_norm(h) @ weights["w1"], 0.0) @ weights["w2"]
         return h.mean(axis=0)
 

@@ -313,14 +313,15 @@ def train(
     seed: int = 0,
 ) -> tuple[MlpModel, YNormalizer, RegressionReport]:
     """Sweep the hyperparameter grid, early-stop each cell on validation MSE,
-    and return a copy of the best cell's weights at its best epoch.
+    and return the best cell's weights at its best epoch.
 
     ``train_data`` and ``val_data`` are (features, y) pairs; targets are
     normalized internally with train-split statistics. Deterministic given
     ``seed``: every cell starts from the same init seeded by it, and cell
     ``(i, j)`` shuffles minibatches with ``_seed_for_cell(seed, i, j)``. The
-    model, gradient, weight snapshots and AdamW state live in this thread's
-    arena.
+    model, gradient, the current cell's best weights and AdamW state live in
+    this thread's arena; a cell that beats the sweep's best so far copies its
+    best weights into the buffer the returned model owns.
     """
     cfg = cfg or TrainConfig()
     x, y = np.asarray(train_data[0], dtype=np.float64), np.asarray(train_data[1], dtype=np.float64)
@@ -334,10 +335,11 @@ def train(
 
     dim = x.shape[1]
     size = sum(math.prod(shape) for shape in _param_shapes(dim))
-    arena = _thread_buffer("arena", 6 * size + 2 * min(size, ADAMW_BLOCK))
-    flat, grad, cell_best, sweep_best, m, v = arena[: 6 * size].reshape(6, size)
+    arena = _thread_buffer("arena", 5 * size + 2 * min(size, ADAMW_BLOCK))
+    flat, grad, cell_best, m, v = arena[: 5 * size].reshape(5, size)
     model, grads = MlpModel(dim, flat), MlpModel(dim, grad)
-    state = AdamState(m, v, arena[6 * size :].reshape(2, -1))
+    state = AdamState(m, v, arena[5 * size :].reshape(2, -1))
+    sweep_best = np.empty(size)  # the returned model's own buffer, so no later call writes to it
 
     sweep: list[dict] = []
     best = (np.inf, 0, None, None)  # (val_mse, epochs, lr, wd); sweep_best holds its weights
@@ -353,7 +355,7 @@ def train(
             )
             if val_mse < best[0]:
                 best = (val_mse, epochs, lr, wd)
-                cell_best, sweep_best = sweep_best, cell_best
+                np.copyto(sweep_best, cell_best)
 
     if best[2] is None:
         raise TrainingFailedError("every sweep cell diverged", sweep)
@@ -361,7 +363,7 @@ def train(
     report = RegressionReport(
         sweep=sweep, chosen_lr=best[2], chosen_wd=best[3], epochs_run=best[1]
     )
-    return MlpModel(dim, sweep_best.copy()), normalizer, report
+    return MlpModel(dim, sweep_best), normalizer, report
 
 
 def evaluate(model: MlpModel, normalizer: YNormalizer, features, y) -> dict[str, float]:

@@ -28,7 +28,8 @@ from .metrics import UndefinedMetricError
 DEGENERATE_DISTANCE = 1e-10
 _VARIANCE_FLOOR = 1e-12
 #: Rows per block of the nearest-neighbor search, which holds a few (block, n)
-#: slabs of inner products and squared distances at a time, never an (n, n) one.
+#: slabs of inner products and squared distances and a (block, d) slab of row
+#: differences at a time, never an (n, n) or (n, d) one.
 _NN_BLOCK = 64
 
 
@@ -60,7 +61,9 @@ def normalize_embeddings(values: np.ndarray) -> np.ndarray:
     mean = values.mean(axis=0)
     var = values.var(axis=0)
     scale = np.where(var < _VARIANCE_FLOOR, 1.0, np.sqrt(var))
-    return (values - mean) / scale
+    out = values - mean
+    out /= scale
+    return out
 
 
 def lipschitz_factors(values: np.ndarray, y) -> NlfdSample:
@@ -78,21 +81,25 @@ def lipschitz_factors(values: np.ndarray, y) -> NlfdSample:
         raise ValueError(f"row count mismatch: {n} embeddings vs {labels.size} labels")
     if n < 2:
         raise ValueError("need at least 2 rows")
-    sq_norms = np.sum(values * values, axis=1)
+    sq_norms = np.empty(n)
+    for lo in range(0, n, _NN_BLOCK):
+        block = values[lo : lo + _NN_BLOCK]
+        sq_norms[lo : lo + _NN_BLOCK] = np.sum(block * block, axis=1)
     # Exact O(n^2 d) search: determinism matters more than speed at this scale.
     # Each block of rows takes its own rows G_ij of the inner products and
-    # ranks them by (sq_i + sq_j) - 2 * G_ij; no (n, n) array is formed.
+    # ranks them by (sq_i + sq_j) - 2 * G_ij; no (n, n) or (n, d) array is formed.
     nearest = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
     for lo in range(0, n, _NN_BLOCK):
         hi = min(lo + _NN_BLOCK, n)
-        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]) - 2.0 * (values[lo:hi] @ values.T)
+        block = values[lo:hi]
+        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]) - 2.0 * (block @ values.T)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         nearest[lo:hi] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-
-    # A stacked (1, d) @ (d, 1) product takes the dot path np.linalg.norm
-    # takes for one vector, so distances match it bit for bit.
-    diffs = values - values[nearest]
-    dist = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel())
+        # A stacked (1, d) @ (d, 1) product takes the dot path np.linalg.norm
+        # takes for one vector, so distances match it bit for bit.
+        diffs = block - values[nearest[lo:hi]]
+        dist[lo:hi] = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel())
     keep = ~(dist < DEGENERATE_DISTANCE)
     excluded = int(keep.size - np.count_nonzero(keep))
     if excluded == keep.size:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,14 +104,23 @@ def test_transformer_token_order_matters():
     assert not np.allclose(out[0], out[1])
 
 
+def _head_maps(model, h, weights):
+    """Each head's (length, length) attention map, as ``_attention`` builds it."""
+    length, head_dim = len(h), model.cfg.model_dim // model.cfg.heads
+    q, k = h @ weights["wq"], h @ weights["wk"]
+    for lo in range(0, model.cfg.model_dim, head_dim):
+        cols = slice(lo, lo + head_dim)
+        yield embedders._head_map(q[:, cols], k[:, cols], np.empty((length, length)))
+
+
 def test_transformer_attention_rows_sum_to_one():
     cfg, table = _transformer()
     model = SyntheticTransformer(cfg, table)
     h = model.table.entries[embedders.tokenize("x0:0.32,x1:-4.21")]
     for weights in model.layers:
-        attn = model._attention(embedders._layer_norm(h), weights)[1]
-        sums = attn.sum(axis=-1)
-        assert np.all(np.abs(sums - 1.0) < 1e-6)
+        for attn in _head_maps(model, embedders._layer_norm(h), weights):
+            sums = attn.sum(axis=-1)
+            assert np.all(np.abs(sums - 1.0) < 1e-6)
 
 
 def _einsum_attention(model, h, weights):
@@ -144,11 +154,13 @@ def test_attention_matches_einsum_oracle(length):
     model = SyntheticTransformer(cfg, table)
     h = np.random.default_rng(length).standard_normal((length, cfg.model_dim))
     for weights in model.layers:
-        out, attn = model._attention(h, weights)
         ref_out, ref_attn = _einsum_attention(model, h, weights)
-        assert attn.shape == (cfg.heads, length, length)
-        assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
-        assert np.allclose(attn, ref_attn, rtol=0, atol=1e-12)
+        assert np.allclose(model._attention(h, weights), ref_out, rtol=0, atol=1e-12)
+        maps = list(_head_maps(model, h, weights))
+        assert len(maps) == cfg.heads
+        for head, attn in enumerate(maps):
+            assert attn.shape == (length, length)
+            assert np.allclose(attn, ref_attn[head], rtol=0, atol=1e-12)
 
 
 def test_encode_matches_einsum_oracle():
@@ -190,8 +202,9 @@ def _biased_encode(model, text):
         SyntheticTransformerConfig(),
         SyntheticTransformerConfig(model_dim=32, heads=4, ff_dim=64, seed=3),
         SyntheticTransformerConfig(layers=1, heads=1, ff_dim=32),
+        SyntheticTransformerConfig(model_dim=48, heads=3, ff_dim=64),
     ],
-    ids=["default", "dim32-seed3", "one-layer-one-head"],
+    ids=["default", "dim32-seed3", "one-layer-one-head", "dim48-three-heads"],
 )
 def test_encode_is_bit_identical_to_the_biased_forward_pass(cfg):
     model = SyntheticTransformer(cfg, VocabTable.create(cfg.model_dim, cfg.seed))
@@ -202,6 +215,27 @@ def test_encode_is_bit_identical_to_the_biased_forward_pass(cfg):
     assert {1, 2, 300} <= {len(t) for t in texts}
     for text in texts:
         assert np.array_equal(model.encode(text), _biased_encode(model, text)), text
+
+
+def test_a_forward_pass_holds_one_length_by_length_map_at_a_time():
+    """A 600-byte text at the default config: one (L, L) float64 map is
+    2.7 MiB, and all four heads' maps at once are 11.0 MiB. Attention builds
+    one head's map at a time in one reused buffer, so the pass stays below
+    the four maps however its other temporaries (O(L · model_dim)) fall."""
+    cfg = SyntheticTransformerConfig()
+    model = SyntheticTransformer(cfg, VocabTable.create(cfg.model_dim, cfg.seed))
+    text = ("x0:0.32," * 75)[:600]
+    model._forward("a")  # builds the position table outside the traced call
+    model._positions(len(text))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model._forward(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    length = len(embedders.tokenize(text))
+    assert peak < 4 * length**2 * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_position_table_slices_match_exact_builds():

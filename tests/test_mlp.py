@@ -476,6 +476,23 @@ def test_returned_model_survives_later_training_on_the_same_thread():
     assert np.array_equal(model.flat, kept)
 
 
+def test_the_arena_holds_five_parameter_buffers_and_the_adamw_scratch():
+    """Model, gradient, the current cell's best, and the two AdamW moments;
+    the sweep's best lives in the returned model's own buffer."""
+    rng = np.random.default_rng(0)
+    x, xv = rng.standard_normal((200, 64)), rng.standard_normal((25, 64))
+    y, yv = np.sin(x).sum(axis=1), np.sin(xv).sum(axis=1)
+    cfg = TrainConfig(learning_rates=(1e-3,), weight_decays=(0.0,), max_epochs=3)
+
+    def run():  # a fresh thread, so no earlier call has grown its arena
+        model, _, _ = mlp.train((x, y), (xv, yv), cfg)
+        return model.flat.size, mlp._THREAD.arena.size
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        size, arena = pool.submit(run).result(timeout=60)
+    assert arena == 5 * size + 2 * min(size, mlp.ADAMW_BLOCK)
+
+
 def test_training_on_two_threads_at_once_equals_sequential_training():
     cfg = TrainConfig(learning_rates=(1e-3, 5e-3), weight_decays=(0.0, 0.1), max_epochs=20, patience=20)
     problems = [

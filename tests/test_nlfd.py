@@ -249,8 +249,8 @@ def test_factors_equal_a_brute_force_nearest_neighbor_oracle():
 def test_the_search_never_holds_an_n_by_n_matrix():
     """An (n, n) float64 matrix of 3,000 rows is n**2 * 8 bytes, 72 MB. The
     blocked search holds a few (64, n) slabs of inner products and squared
-    distances (1.5 MB each) and a few (n, d) arrays of row differences
-    (0.2 MB each), under 10 MB however the temporaries fall. A bound of an
+    distances (1.5 MB each) and one (64, d) slab of row differences, under
+    10 MB however the temporaries fall. A bound of an
     eighth of the whole matrix passes that with room and fails any search
     that forms one (n, n) array."""
     n, dim = 3000, 8
@@ -266,6 +266,27 @@ def test_the_search_never_holds_an_n_by_n_matrix():
         tracemalloc.stop()
     whole_matrix = n * n * 8
     assert peak < whole_matrix / 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_search_never_holds_an_n_by_d_matrix():
+    """At the widths of service embeddings the (n, d) input outweighs the
+    (64, n) slabs: at 500 × 2,048 it is 7.8 MiB, and each slab 0.25 MiB.
+    The search squares, differences and measures rows one block of 64 at a
+    time, so apart from its O(64·(n + d)) slabs it holds only O(n) vectors;
+    any (n, d) temporary, such as every row's squares or the difference of
+    every row and its neighbour, reaches the whole input's size."""
+    n, dim = 500, 2048
+    rng = np.random.default_rng(4)
+    values = nlfd.normalize_embeddings(rng.standard_normal((n, dim)))
+    labels = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nlfd.lipschitz_factors(values, labels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_nlfd_and_the_mlp_head_import_no_embedder():
